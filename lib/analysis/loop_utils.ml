@@ -1,6 +1,7 @@
 (** Loop-band analysis utilities shared by the transform passes, the QoR
     estimator, and the DSE engine. A {e loop band} (Table 2) is a maximal
-    chain of singly-nested [affine.for] ops. *)
+    chain of singly-nested [affine.for] ops. The {!scope} environment
+    resolves operands to constants, defining loops and value ranges. *)
 
 open Mir
 open Dialects
@@ -75,68 +76,62 @@ let map_bands ctx f transform =
        (fun o -> if Affine_d.is_for o then transform ctx o else o)
        (Func.func_body f))
 
-(** Is the value [v] defined by an [arith.constant]? Search [scope] for the
-    defining op and return the constant. *)
-let constant_of_value scope (v : Ir.value) =
-  let found = ref None in
-  Walk.iter_op
-    (fun o ->
-      if Arith.is_constant o && List.exists (fun r -> Ir.value_equal r v) o.Ir.results
-      then found := Arith.constant_int_value o)
-    scope;
-  !found
+(** The scope environment of a function: one pre-order walk maps every
+    [arith.constant] result to its integer value and every affine induction
+    variable to its defining [affine.for]. The passes, the estimator and the
+    virtual HLS tool resolve operands through it, so a query costs a table
+    lookup instead of a walk over the whole function. The IR is immutable:
+    an environment stays exact for the function it was built from, and
+    callers build it from the function they resolve against (the pre-pass
+    function, or one per fixpoint iteration). Built once, the tables are
+    only read, so one environment may be shared across domains. *)
+type scope =
+  | Scope of {
+      consts : (int, int) Hashtbl.t;  (** value id -> integer constant *)
+      loops : (int, Ir.op) Hashtbl.t;  (** iv value id -> defining affine.for *)
+    }
 
-(** Map from value id to the affine.for op (within [scope]) whose induction
-    variable it is. *)
-let iv_defs scope =
-  let tbl = Hashtbl.create 32 in
-  Walk.iter_op
-    (fun o ->
-      if Affine_d.is_for o then
-        Hashtbl.replace tbl (Affine_d.induction_var o).Ir.vid o)
-    scope;
-  tbl
-
-(** Inclusive value range of an index value inside [scope]:
-    constants give [(c, c)], affine ivs with constant bounds give
-    [(lb, ub-1)]. *)
-let range_of_value scope (v : Ir.value) =
-  match constant_of_value scope v with
-  | Some c -> Some (c, c)
-  | None -> (
-      let ivs = iv_defs scope in
-      match Hashtbl.find_opt ivs v.Ir.vid with
-      | Some l -> (
-          match Affine_d.const_bounds l with
-          | Some (lb, ub) when ub > lb -> Some (lb, ub - 1)
-          | _ -> None)
-      | None -> None)
-
-(** Precomputed {!range_of_value} environment: one walk over [scope] builds a
-    table from value id to inclusive range, covering every [arith.constant]
-    result ([(c, c)]) and every affine induction variable with constant
-    bounds ([(lb, ub-1)]). [Hashtbl.find_opt (range_env scope) v.vid] agrees
-    with [range_of_value scope v]; the table form amortizes the per-query
-    scope walk on hot paths (the estimator's band-memo keys hash the ranges
-    of every free value of a band). *)
-let range_env scope =
-  let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+let scope_of (f : Ir.op) =
+  let consts = Hashtbl.create 64 and loops = Hashtbl.create 32 in
   Walk.iter_op
     (fun o ->
       if Arith.is_constant o then (
         match Arith.constant_int_value o with
         | Some c ->
             List.iter
-              (fun (r : Ir.value) -> Hashtbl.replace tbl r.Ir.vid (c, c))
+              (fun (r : Ir.value) -> Hashtbl.replace consts r.Ir.vid c)
               o.Ir.results
         | None -> ())
       else if Affine_d.is_for o then
-        match Affine_d.const_bounds o with
-        | Some (lb, ub) when ub > lb ->
-            Hashtbl.replace tbl (Affine_d.induction_var o).Ir.vid (lb, ub - 1)
-        | _ -> ())
-    scope;
-  tbl
+        Hashtbl.replace loops (Affine_d.induction_var o).Ir.vid o)
+    f;
+  Scope { consts; loops }
+
+(** The integer constant [v] is defined as, if any. *)
+let constant (Scope s) (v : Ir.value) = Hashtbl.find_opt s.consts v.Ir.vid
+
+(** The [affine.for] whose induction variable [v] is, if any. *)
+let iv_loop (Scope s) (v : Ir.value) = Hashtbl.find_opt s.loops v.Ir.vid
+
+(** Inclusive value range of an index value: constants give [(c, c)], affine
+    ivs with constant bounds give [(lb, ub-1)]. *)
+let range scope (v : Ir.value) =
+  match constant scope v with
+  | Some c -> Some (c, c)
+  | None -> (
+      match iv_loop scope v with
+      | Some l -> (
+          match Affine_d.const_bounds l with
+          | Some (lb, ub) when ub > lb -> Some (lb, ub - 1)
+          | _ -> None)
+      | None -> None)
+
+(** Ranges of every value in [vs], or [None] if some value has none. *)
+let ranges scope vs =
+  let rs = List.map (range scope) vs in
+  if List.for_all Option.is_some rs then
+    Some (Array.of_list (List.map Option.get rs))
+  else None
 
 (** Depth of nesting of affine loops containing each loop: association list
     from loop (physical identity) to depth, outermost = 0. *)

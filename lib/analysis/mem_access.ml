@@ -59,13 +59,13 @@ let normalize_access ?(iv_info = fun (_ : Ir.value) -> (0, 1)) ~basis ~consts op
     Some (A.Map.results composed)
 
 (** Collect the affine accesses inside [region_op] (inclusive), normalized
-    over [basis]. [scope] is used to resolve constant operands. Accesses that
-    cannot be normalized are reported via [~on_opaque] (default: dropped). *)
+    over [basis]. [scope] (the enclosing function's {!Loop_utils.scope})
+    resolves constant operands and basis loops. Accesses that cannot be
+    normalized are reported via [~on_opaque] (default: dropped). *)
 let collect ?(on_opaque = fun (_ : Ir.op) -> ()) ~scope ~basis region_op =
-  let consts v = Loop_utils.constant_of_value scope v in
-  let ivs = Loop_utils.iv_defs scope in
+  let consts v = Loop_utils.constant scope v in
   let iv_info (v : Ir.value) =
-    match Hashtbl.find_opt ivs v.Ir.vid with
+    match Loop_utils.iv_loop scope v with
     | Some l ->
         let step = (Affine_d.bounds l).Affine_d.step in
         let lb =

@@ -88,6 +88,7 @@ let pipelined_regions f =
 
 (** Desired partitions in one function, keyed by memref value id. *)
 let analyze_func f : (int * (Ir.value * spec)) list =
+  let scope = Loop_utils.scope_of f in
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (basis, region) ->
@@ -99,7 +100,7 @@ let analyze_func f : (int * (Ir.value * spec)) list =
             | None -> spec
           in
           Hashtbl.replace tbl m.Ir.vid (m, cur))
-        (analyze_region ~scope:f ~basis region))
+        (analyze_region ~scope ~basis region))
     (pipelined_regions f);
   Hashtbl.fold (fun vid v acc -> (vid, v) :: acc) tbl []
 

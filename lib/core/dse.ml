@@ -259,7 +259,7 @@ let permute_tile ctx m ~top (pt : point) : Ir.op =
     on_main_band f (fun band ->
         let n = List.length band in
         if List.length pt.perm <> n then raise Inapplicable;
-        let deps = Loop_order_opt.band_deps ~scope:f band in
+        let deps = Loop_order_opt.band_deps ~scope:(Loop_utils.scope_of f) band in
         let root =
           if pt.perm = List.init n Fun.id then List.hd band
           else if
@@ -430,7 +430,7 @@ let build_space ?(max_unroll = 256) ?(max_ii = 8) ctx m ~top =
       }
   | Some band ->
       let n = List.length band in
-      let deps = Loop_order_opt.band_deps ~scope:f band in
+      let deps = Loop_order_opt.band_deps ~scope:(Loop_utils.scope_of f) band in
       let identity = List.init n Fun.id in
       let perms =
         List.filter
@@ -1081,10 +1081,10 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
     match cache_opt with Some c -> c | None -> Eval_cache.create ()
   in
   let memos = match memos_opt with Some ms -> ms | None -> Estimator.create_memos () in
-  (* Shared caches carry their counters across runs; per-run stats are deltas
-     against these baselines (approximate when concurrent runs share the
-     cache — counters are process-global, the search itself is not). *)
-  let cache_h0 = Eval_cache.hits cache and cache_m0 = Eval_cache.misses cache in
+  (* Per-run evaluation-cache hits and misses, counted at the lookup in
+     [admit] that decides cached vs fresh: a shared cache's own counters
+     also move with every search that overlaps this one. *)
+  let cache_hits = ref 0 and cache_misses = ref 0 in
   let memo_h0 = Estimator.memo_hits memos
   and memo_m0 = Estimator.memo_misses memos in
   (* The per-run "seen" set. With a private cache it mirrors the cache's key
@@ -1268,8 +1268,11 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
       (match Eval_cache.find_opt cache key with
-      | Some res -> Queue.add (Rob_cached (c, res)) rob
+      | Some res ->
+          incr cache_hits;
+          Queue.add (Rob_cached (c, res)) rob
       | None ->
+          incr cache_misses;
           let tf_key =
             let fp, perm, tiles, _ = key in
             (fp, perm, tiles)
@@ -1450,8 +1453,8 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
       wall_seconds = Obs.Clock.since_s t_start;
       pre_hits = Eval_cache.hits pre_cache;
       pre_misses = Eval_cache.misses pre_cache;
-      cache_hits = Eval_cache.hits cache - cache_h0;
-      cache_misses = Eval_cache.misses cache - cache_m0;
+      cache_hits = !cache_hits;
+      cache_misses = !cache_misses;
       symbolic_points = instr.n_symbolic;
       fallback_points = instr.n_fallback;
       fallback_reasons = instr_reasons instr;

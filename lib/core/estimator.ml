@@ -46,6 +46,9 @@ type band_ref = {
 }
 
 type func_info = {
+  fi_scope : Analysis.Loop_utils.scope;
+      (** the function's scope environment: every operand query of the
+          band summaries resolves through it *)
   fi_fu_counts : (string * int) list;  (** FU op counts of the whole func *)
   fi_local_mem : Platform.usage;  (** local array BRAM usage *)
   fi_bands : band_ref list;  (** every pipelined chain root, pre-order *)
@@ -54,7 +57,7 @@ type func_info = {
     transformed module across a whole ladder of target-II siblings (see
     {!Dse.retarget_ii}); caching this record by the function op's *physical
     identity* makes re-estimating a sibling nearly free — no fingerprinting,
-    no FU recount, no band re-discovery. *)
+    no scope walk, no FU recount, no band re-discovery. *)
 
 type memos = {
   bands : (int64, band_summary) Eval_cache.t;
@@ -161,10 +164,10 @@ let normalize_target_ii k (a : Attr.t) =
 
 (* A band summary is context-dependent only through the ranges/constants of
    its free values (loop bounds, access indices, if conditions all resolve
-   through {!Analysis.Loop_utils.range_of_value} semantics) and their types
+   through the function's {!Analysis.Loop_utils.scope}) and their types
    (memref layouts carry the partitioning). Hash the range at first use. *)
-let env_free_hook env (v : Ir.value) =
-  match Hashtbl.find_opt env v.Ir.vid with
+let env_free_hook scope (v : Ir.value) =
+  match Analysis.Loop_utils.range scope v with
   | Some (lo, hi) ->
       Fingerprint.of_int (Fingerprint.of_int (Fingerprint.tag 0L 40) lo) hi
   | None -> Fingerprint.tag 0L 41
@@ -187,12 +190,12 @@ let target_ii_of st target =
 
 (* One pass over a function collects everything the estimator needs that the
    target II cannot change. [with_keys] also prices the cross-point memo keys
-   (range environment + contextual fingerprints) — skipped for plain
+   (contextual fingerprints over the scope's ranges) — skipped for plain
    memo-less estimates, which then do no fingerprinting at all. *)
 let build_func_info ~with_keys (f : Ir.op) : func_info =
+  let scope = Analysis.Loop_utils.scope_of f in
   let free_hook =
-    if with_keys then env_free_hook (Analysis.Loop_utils.range_env f)
-    else Fingerprint.no_free_hook
+    if with_keys then env_free_hook scope else Fingerprint.no_free_hook
   in
   let bands =
     List.rev
@@ -212,6 +215,7 @@ let build_func_info ~with_keys (f : Ir.op) : func_info =
          [] f)
   in
   {
+    fi_scope = scope;
     fi_fu_counts = fu_counts f;
     fi_local_mem = Synth.local_memory_usage f;
     fi_bands = bands;
@@ -281,7 +285,7 @@ let rec estimate_func st (f : Ir.op) : estimate =
             { latency; interval; usage }
         | fd ->
             let fi = func_info st f in
-            let lat = estimate_block st ~scope:f (Func.func_body f) in
+            let lat = estimate_block st ~fi (Func.func_body f) in
             let usage =
               Platform.usage_add
                 (fu_usage_of_counts fi.fi_fu_counts ~share:(max 1 lat))
@@ -292,7 +296,7 @@ let rec estimate_func st (f : Ir.op) : estimate =
             let loop_usage =
               List.fold_left
                 (fun acc br ->
-                  let s = band_summary_of st ~scope:f br.br_root br.br_target in
+                  let s = band_summary_of st ~fi br.br_root br.br_target in
                   let ii = max (target_ii_of st br.br_target) s.bs_ii_base in
                   Platform.usage_max acc
                     (fu_usage_of_counts s.bs_fu_counts ~share:ii))
@@ -313,10 +317,11 @@ let rec estimate_func st (f : Ir.op) : estimate =
    [target]). Three memo levels: per-root physical identity (this module),
    per-target body latency (shared by the suffix chains the loop-usage fold
    visits), and — when sound — the cross-point fingerprint-keyed memo. *)
-and band_summary_of st ~scope root target : band_summary =
+and band_summary_of st ~fi root target : band_summary =
   match List.assq_opt root st.band_memo with
   | Some s -> s
   | None ->
+      let scope = fi.fi_scope in
       let compute () =
         let chain =
           match Synth.pipelined_chain root with Some (c, _) -> c | None -> [ target ]
@@ -334,7 +339,7 @@ and band_summary_of st ~scope root target : band_summary =
         in
         {
           bs_ii_base = ii_base;
-          bs_iter_lat = iter_latency st ~scope target;
+          bs_iter_lat = iter_latency st ~fi target;
           bs_total_trip = total_trip;
           bs_fu_counts = fu_counts target;
         }
@@ -342,7 +347,6 @@ and band_summary_of st ~scope root target : band_summary =
       let s =
         match st.memos with
         | Some memos -> (
-            let fi = func_info st scope in
             match
               List.find_opt (fun br -> br.br_root == root) fi.fi_bands
             with
@@ -354,48 +358,48 @@ and band_summary_of st ~scope root target : band_summary =
       st.band_memo <- (root, s) :: st.band_memo;
       s
 
-and iter_latency st ~scope target =
+and iter_latency st ~fi target =
   match List.assq_opt target st.iter_lat_memo with
   | Some l -> l
   | None ->
-      let l = estimate_block st ~scope (Ir.body_ops target) in
+      let l = estimate_block st ~fi (Ir.body_ops target) in
       st.iter_lat_memo <- (target, l) :: st.iter_lat_memo;
       l
 
 (* ALAP-scheduled latency of an op list. *)
-and estimate_block st ~scope (ops : Ir.op list) : int =
+and estimate_block st ~fi (ops : Ir.op list) : int =
   let ops =
     List.filter (fun o -> o.Ir.name <> "affine.yield" && o.Ir.name <> "scf.yield") ops
   in
   if ops = [] then 0
   else begin
-    let delay_of o = op_latency st ~scope o in
+    let delay_of o = op_latency st ~fi o in
     let g = Sched.build ~delay_of ops in
     (* ALAP at the critical-path deadline (the paper's §5.5.1 choice): the
        block latency is exactly the critical-path length. *)
     Sched.latency g
   end
 
-and op_latency st ~scope (o : Ir.op) : int =
+and op_latency st ~fi (o : Ir.op) : int =
   match o.Ir.name with
   | "affine.for" | "scf.for" -> (
       match Synth.pipelined_chain o with
       | Some (_, target) ->
-          let s = band_summary_of st ~scope o target in
+          let s = band_summary_of st ~fi o target in
           let ii = max (target_ii_of st target) s.bs_ii_base in
           (ii * max 0 (s.bs_total_trip - 1)) + s.bs_iter_lat + 2
       | None ->
           let trip =
             match o.Ir.name with
-            | "affine.for" -> Synth.trip_estimate ~scope o
+            | "affine.for" -> Synth.trip_estimate ~scope:fi.fi_scope o
             | _ -> 1
           in
-          let body_lat = estimate_block st ~scope (Ir.body_ops o) in
+          let body_lat = estimate_block st ~fi (Ir.body_ops o) in
           (trip * (body_lat + 1)) + 1)
   | "affine.if" | "scf.if" ->
       let lat r =
         List.fold_left
-          (fun acc (b : Ir.block) -> max acc (estimate_block st ~scope b.Ir.bops))
+          (fun acc (b : Ir.block) -> max acc (estimate_block st ~fi b.Ir.bops))
           0 r
       in
       1 + max (lat (Ir.region o 0)) (lat (Ir.region o 1))

@@ -80,13 +80,14 @@ let fuse_in_ops ctx ~scope ops =
   go [] ops
 
 let run_on_func ctx f =
+  let scope = Loop_utils.scope_of f in
   let rec rewrite (o : Ir.op) : Ir.op =
     {
       o with
       Ir.regions =
         List.map
           (List.map (fun b ->
-               { b with Ir.bops = fuse_in_ops ctx ~scope:f (List.map rewrite b.Ir.bops) }))
+               { b with Ir.bops = fuse_in_ops ctx ~scope (List.map rewrite b.Ir.bops) }))
           o.Ir.regions;
     }
   in

@@ -137,12 +137,13 @@ let optimize_band ?perm_map ~scope band =
 
 let run_on_func ?perm_map ctx f =
   ignore ctx;
+  let scope = Loop_utils.scope_of f in
   Ir.with_body f
     (List.map
        (fun o ->
          if Affine_d.is_for o then
            let band = Affine_d.band o in
-           match optimize_band ?perm_map ~scope:f band with
+           match optimize_band ?perm_map ~scope band with
            | Some perm -> permute_band band perm
            | None -> o
          else o)

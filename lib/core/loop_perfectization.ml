@@ -79,16 +79,10 @@ let provably_nonempty ~scope (inner : Ir.op) =
   | None -> (
       let bound_range map operands pick =
         match A.Map.results map with
-        | [ e ] -> (
-            let ranges =
-              List.map (fun v -> Analysis.Loop_utils.range_of_value scope v) operands
-            in
-            if List.for_all Option.is_some ranges then
-              Option.map pick
-                (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
-                   ~ranges:(Array.of_list (List.map Option.get ranges))
-                   e)
-            else None)
+        | [ e ] ->
+            Option.bind (Analysis.Loop_utils.ranges scope operands) (fun ranges ->
+                Option.map pick
+                  (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map) ~ranges e))
         | _ -> None
       in
       match
@@ -190,7 +184,7 @@ let run_on_func _ctx f =
   while !changed && !fuel > 0 do
     changed := false;
     decr fuel;
-    let scope = !f in
+    let scope = Analysis.Loop_utils.scope_of !f in
     f :=
       Walk.expand_in_op
         (fun o ->
@@ -208,4 +202,5 @@ let pass = Pass.on_funcs "affine-loop-perfectization" run_on_func
 (** Would perfectization change anything in this function? (Reported in the
     DSE results table.) *)
 let applicable f =
-  Walk.exists (fun o -> Option.is_some (perfectize_step ~scope:f o)) f
+  let scope = Analysis.Loop_utils.scope_of f in
+  Walk.exists (fun o -> Option.is_some (perfectize_step ~scope o)) f

@@ -122,12 +122,13 @@ let band_tiling_legal ~scope band =
 (** Pass form: tile every band with a uniform [tile_size] on each loop,
     skipping bands where tiling is not provably legal. *)
 let run_on_func ~tile_size ctx f =
+  let scope = Analysis.Loop_utils.scope_of f in
   Ir.with_body f
     (List.map
        (fun o ->
          if Affine_d.is_for o then
            let band = Affine_d.band o in
-           if not (band_tiling_legal ~scope:f band) then o
+           if not (band_tiling_legal ~scope band) then o
            else
              match tile_band ctx band ~sizes:(List.map (fun _ -> tile_size) band) with
              | Some root -> root

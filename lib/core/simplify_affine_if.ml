@@ -15,9 +15,6 @@ let simplify_if ~scope (o : Ir.op) : Ir.op list option =
   if not (Affine_d.is_if o) then None
   else
     let set = Affine_d.if_set o in
-    let ranges =
-      List.map (fun v -> Loop_utils.range_of_value scope v) o.Ir.operands
-    in
     let take region =
       Some
         (List.concat_map
@@ -28,18 +25,19 @@ let simplify_if ~scope (o : Ir.op) : Ir.op list option =
     match A.Set_.trivial (A.Set_.simplify set) with
     | Some true -> take (Ir.region o 0)
     | Some false -> take (Ir.region o 1)
-    | None ->
-        if List.for_all Option.is_some ranges then
-          let ranges = Array.of_list (List.map Option.get ranges) in
-          match A.Set_.simplify_with_ranges set ~ranges with
-          | None -> take (Ir.region o 1)
-          | Some s when A.Set_.constraints s = [] -> take (Ir.region o 0)
-          | Some s -> Some [ Ir.set_attr o "set" (Attr.Set s) ]
-        else None
+    | None -> (
+        match Loop_utils.ranges scope o.Ir.operands with
+        | Some ranges -> (
+            match A.Set_.simplify_with_ranges set ~ranges with
+            | None -> take (Ir.region o 1)
+            | Some s when A.Set_.constraints s = [] -> take (Ir.region o 0)
+            | Some s -> Some [ Ir.set_attr o "set" (Attr.Set s) ])
+        | None -> None)
 
 let run_on_func _ctx f =
+  let scope = Loop_utils.scope_of f in
   Walk.expand_in_op
-    (fun o -> match simplify_if ~scope:f o with Some ops -> ops | None -> [ o ])
+    (fun o -> match simplify_if ~scope o with Some ops -> ops | None -> [ o ])
     f
 
 let pass = Pass.on_funcs "simplify-affine-if" run_on_func

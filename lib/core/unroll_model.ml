@@ -198,13 +198,13 @@ let fold_set plan ~vals =
    spliced directly instead of materializing the dead one and replaying
    [Simplify_affine_if] over the expanded module. The decision procedure is
    exactly {!Simplify_affine_if.simplify_if}'s, with operand ranges served
-   from [ranges] (the rolled function's {!Loop_utils.range_env}, queried on
+   from [scope] (the rolled function's {!Loop_utils.scope}, queried on
    pre-substitution operands — the rolled module is canonicalized, so kept
    operands are never constants and the environment of an instance operand
    is that of its template original). Resolution is post-order (branch
    bodies instantiate before the enclosing guard is decided), matching the
    pass's {!Walk.expand_in_op} replay order. *)
-let instantiate ctx ~ranges (template : (Ir.op * op_plan) list) ~vals :
+let instantiate ctx ~scope (template : (Ir.op * op_plan) list) ~vals :
     Ir.op list =
   let subst = ref Ir.Value_map.empty in
   let sub (v : Ir.value) =
@@ -266,21 +266,14 @@ let instantiate ctx ~ranges (template : (Ir.op * op_plan) list) ~vals :
             match A.Set_.trivial (A.Set_.simplify set) with
             | Some true -> inst_ops p.i_then
             | Some false -> inst_ops p.i_else
-            | None ->
-                let rngs =
-                  List.map
-                    (fun (v : Ir.value) -> Hashtbl.find_opt ranges v.Ir.vid)
-                    pre_kept
-                in
-                if List.for_all Option.is_some rngs then
-                  match
-                    A.Set_.simplify_with_ranges set
-                      ~ranges:(Array.of_list (List.map Option.get rngs))
-                  with
-                  | None -> inst_ops p.i_else
-                  | Some s when A.Set_.constraints s = [] -> inst_ops p.i_then
-                  | Some s -> keep s
-                else keep set))
+            | None -> (
+                match Loop_utils.ranges scope pre_kept with
+                | Some ranges -> (
+                    match A.Set_.simplify_with_ranges set ~ranges with
+                    | None -> inst_ops p.i_else
+                    | Some s when A.Set_.constraints s = [] -> inst_ops p.i_then
+                    | Some s -> keep s)
+                | None -> keep set)))
       plans
   in
   inst_ops template
@@ -288,10 +281,10 @@ let instantiate ctx ~ranges (template : (Ir.op * op_plan) list) ~vals :
 (* ---- Target expansion ----------------------------------------------------- *)
 
 (* Expand the point loops inside one pipelined target. Returns [None] when
-   there is nothing to expand (no loop anywhere inside the target). [ranges]
-   is the enclosing function's rolled-module range environment, used to
+   there is nothing to expand (no loop anywhere inside the target). [scope]
+   is the enclosing function's rolled-module scope environment, used to
    resolve instance guards. *)
-let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
+let expand_target ctx ~scope (target : Ir.op) : Ir.op option =
   let point_loops, template = peel_point_nest (Ir.body_ops target) in
   if point_loops = [] then begin
     (* No point nest — but a loop hiding under a region op (e.g. an
@@ -335,7 +328,7 @@ let expand_target ctx ~ranges (target : Ir.op) : Ir.op option =
         for i = 0 to n - 1 do
           vals.(i) <- lbs.(i) + (ks.(i) * steps.(i))
         done;
-        chunks := instantiate ctx ~ranges plans ~vals :: !chunks;
+        chunks := instantiate ctx ~scope plans ~vals :: !chunks;
         let rec inc i =
           if i < 0 then continue_ := false
           else begin
@@ -366,14 +359,14 @@ let expand ctx (m : Ir.op) : Ir.op * bool =
   let expand_in_func f =
     if not (Walk.exists is_target f) then f
     else
-      (* Guard resolution keys off the rolled function's range environment
+      (* Guard resolution keys off the rolled function's scope environment
          (outer induction variables and constants keep their identities
          across expansion, and point ivs are folded away before lookup). *)
-      let ranges = Loop_utils.range_env f in
+      let scope = Loop_utils.scope_of f in
       Walk.map_op
         (fun o ->
           if is_target o then
-            match expand_target ctx ~ranges o with
+            match expand_target ctx ~scope o with
             | Some o' ->
                 expanded := true;
                 o'

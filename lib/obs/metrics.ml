@@ -31,9 +31,12 @@ type gauge = { g_v : float Atomic.t }
 let num_buckets = 40
 let bucket_lo = 1e-6
 
-let bucket_bound i =
-  if i >= num_buckets - 1 then Float.infinity
-  else bucket_lo *. Float.pow 2. (float_of_int i)
+(* Precomputed in an unboxed float array: a bound computed per comparison
+   would box, so the scan below would allocate per bucket passed. *)
+let bucket_bounds =
+  Array.init num_buckets (fun i ->
+      if i >= num_buckets - 1 then Float.infinity
+      else bucket_lo *. Float.pow 2. (float_of_int i))
 
 (* First bucket whose upper bound is >= v (linear scan: observations are
    rare, and the scan is exact on the boundaries where a log/floor computation
@@ -41,7 +44,7 @@ let bucket_bound i =
 let bucket_index v =
   let rec go i =
     if i >= num_buckets - 1 then num_buckets - 1
-    else if v <= bucket_bound i then i
+    else if v <= bucket_bounds.(i) then i
     else go (i + 1)
   in
   go 0
@@ -49,11 +52,16 @@ let bucket_index v =
 type histogram = {
   h_lock : Mutex.t;
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_stats : float array;
+      (** [| sum; min; max |], unboxed: a float field of this mixed record
+          would box on every update, so an observation's allocation would
+          depend on whether it set a new min or max *)
   h_buckets : int array;  (** per-bucket counts (not cumulative) *)
 }
+
+let sum_i = 0
+let min_i = 1
+let max_i = 2
 
 (** A rolling-window rate meter: [mark] adds weight to the current one-second
     slot of a ring; [rate] sums the slots younger than [window_s] and divides
@@ -169,9 +177,7 @@ let histogram ?(labels = []) r name =
         {
           h_lock = Mutex.create ();
           h_count = 0;
-          h_sum = 0.;
-          h_min = Float.infinity;
-          h_max = Float.neg_infinity;
+          h_stats = [| 0.; Float.infinity; Float.neg_infinity |];
           h_buckets = Array.make num_buckets 0;
         })
     (function H h -> Some h | _ -> None)
@@ -210,9 +216,10 @@ let gauge_value g = Atomic.get g.g_v
 let observe h v =
   Mutex.lock h.h_lock;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
+  let s = h.h_stats in
+  s.(sum_i) <- s.(sum_i) +. v;
+  if v < s.(min_i) then s.(min_i) <- v;
+  if v > s.(max_i) then s.(max_i) <- v;
   let i = bucket_index v in
   h.h_buckets.(i) <- h.h_buckets.(i) + 1;
   Mutex.unlock h.h_lock;
@@ -234,7 +241,7 @@ let quantile h q =
   Mutex.lock h.h_lock;
   let count = h.h_count in
   let buckets = Array.copy h.h_buckets in
-  let mn = h.h_min and mx = h.h_max in
+  let mn = h.h_stats.(min_i) and mx = h.h_stats.(max_i) in
   Mutex.unlock h.h_lock;
   if count = 0 then 0.
   else begin
@@ -250,8 +257,8 @@ let quantile h q =
     (* cumulative count strictly before the chosen bucket *)
     let rec before i j acc = if j >= i then acc else before i (j + 1) (acc + buckets.(j)) in
     let i = find 0 0 in
-    let lower = if i = 0 then 0. else bucket_bound (i - 1) in
-    let upper = if i = num_buckets - 1 then mx else bucket_bound i in
+    let lower = if i = 0 then 0. else bucket_bounds.(i - 1) in
+    let upper = if i = num_buckets - 1 then mx else bucket_bounds.(i) in
     let in_bucket = buckets.(i) in
     let v =
       if in_bucket = 0 then upper
@@ -300,7 +307,8 @@ let instrument_fields = function
       ]
   | H h ->
       Mutex.lock h.h_lock;
-      let count = h.h_count and sum = h.h_sum and mn = h.h_min and mx = h.h_max in
+      let count = h.h_count and sum = h.h_stats.(sum_i) in
+      let mn = h.h_stats.(min_i) and mx = h.h_stats.(max_i) in
       Mutex.unlock h.h_lock;
       [
         ("type", Json.String "histogram");
@@ -486,7 +494,7 @@ let to_prometheus () =
           | W w -> line (name ^ "_rate") labels (rate w)
           | H h ->
               Mutex.lock h.h_lock;
-              let count = h.h_count and sum = h.h_sum in
+              let count = h.h_count and sum = h.h_stats.(sum_i) in
               let buckets = Array.copy h.h_buckets in
               Mutex.unlock h.h_lock;
               let cum = ref 0 in
@@ -495,7 +503,7 @@ let to_prometheus () =
                   cum := !cum + n;
                   let le =
                     if bi = num_buckets - 1 then "+Inf"
-                    else prom_float (bucket_bound bi)
+                    else prom_float bucket_bounds.(bi)
                   in
                   line (name ^ "_bucket")
                     (labels @ [ ("le", le) ])
@@ -521,7 +529,8 @@ let pp_value fmt = function
   | W w -> Fmt.pf fmt "%.6g/s over %ds" (rate w) w.w_span
   | H h ->
       Mutex.lock h.h_lock;
-      let count = h.h_count and sum = h.h_sum and mn = h.h_min and mx = h.h_max in
+      let count = h.h_count and sum = h.h_stats.(sum_i) in
+      let mn = h.h_stats.(min_i) and mx = h.h_stats.(max_i) in
       Mutex.unlock h.h_lock;
       if count = 0 then Fmt.pf fmt "count=0"
       else

@@ -104,17 +104,11 @@ let trip_estimate ~scope (l : Ir.op) =
       let b = Affine_d.bounds l in
       let avg_bound map operands =
         match A.Map.results map with
-        | [ e ] -> (
-            let ranges =
-              List.map (fun v -> Loop_utils.range_of_value scope v) operands
-            in
-            if List.for_all Option.is_some ranges then
-              Option.map
-                (fun (lo, hi) -> (lo + hi) / 2)
-                (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map)
-                   ~ranges:(Array.of_list (List.map Option.get ranges))
-                   e)
-            else None)
+        | [ e ] ->
+            Option.bind (Loop_utils.ranges scope operands) (fun ranges ->
+                Option.map
+                  (fun (lo, hi) -> (lo + hi) / 2)
+                  (A.Solve.range_of_expr ~num_dims:(A.Map.num_dims map) ~ranges e))
         | _ -> None
       in
       match
@@ -353,7 +347,8 @@ let rec analyze_func st (f : Ir.op) : report =
         match Hlscpp.get_func_directive f with
         | Some d when d.Hlscpp.dataflow -> analyze_dataflow st f
         | _ ->
-            let lat, usage = analyze_ops st ~scope:f (Func.func_body f) in
+            let scope = Loop_utils.scope_of f in
+            let lat, usage = analyze_ops st ~scope (Func.func_body f) in
             let usage = Platform.usage_add usage (local_memory_usage f) in
             let interval =
               match Hlscpp.get_func_directive f with

@@ -77,3 +77,62 @@ let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
+
+(* Naive reference for the scope environment ([Analysis.Loop_utils.scope]):
+   every query walks the whole function [f] again, sharing no code with the
+   environment's single-walk tables. *)
+let naive_constant f (v : Ir.value) =
+  Walk.fold_ops
+    (fun acc (o : Ir.op) ->
+      if Dialects.Arith.is_constant o && List.exists (Ir.value_equal v) o.Ir.results
+      then Dialects.Arith.constant_int_value o
+      else acc)
+    None f
+
+let naive_iv_loop f (v : Ir.value) =
+  Walk.fold_ops
+    (fun acc (o : Ir.op) ->
+      if Dialects.Affine_d.is_for o
+         && Ir.value_equal v (Dialects.Affine_d.induction_var o)
+      then Some o
+      else acc)
+    None f
+
+let naive_range f v =
+  match naive_constant f v with
+  | Some c -> Some (c, c)
+  | None -> (
+      match naive_iv_loop f v with
+      | Some l -> (
+          match Dialects.Affine_d.const_bounds l with
+          | Some (lb, ub) when ub > lb -> Some (lb, ub - 1)
+          | _ -> None)
+      | None -> None)
+
+(* Check every operand of every op of every function of [m] against the
+   naive reference; returns the number of operands checked. *)
+let check_scope_env ~msg m =
+  let module L = Analysis.Loop_utils in
+  let checked = ref 0 in
+  List.iter
+    (fun f ->
+      let scope = L.scope_of f in
+      Walk.iter_op
+        (fun (o : Ir.op) ->
+          List.iter
+            (fun (v : Ir.value) ->
+              incr checked;
+              let fail what =
+                Alcotest.failf "%s: %s of %%%d (operand of %s) disagrees" msg what
+                  v.Ir.vid o.Ir.name
+              in
+              if L.constant scope v <> naive_constant f v then fail "constant";
+              (match (L.iv_loop scope v, naive_iv_loop f v) with
+              | Some a, Some b when a == b -> ()
+              | None, None -> ()
+              | _ -> fail "defining loop");
+              if L.range scope v <> naive_range f v then fail "range")
+            o.Ir.operands)
+        f)
+    (Ir.module_funcs m);
+  !checked

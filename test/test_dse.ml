@@ -271,6 +271,63 @@ let test_run_cache_stats () =
   Alcotest.(check int) "eval cache: misses = explored" r.Dse.explored s.Dse.cache_misses;
   Alcotest.(check bool) "wall time measured" true (s.Dse.wall_seconds > 0.)
 
+(* Two searches of one design run concurrently on one shared cache and one
+   pool, as in the serve daemon: each must report exactly its own
+   evaluations (its fresh admissions, counted worker-side through
+   [batch_wrap]), not the shared cache's counter movement over its
+   lifetime. Each search's first evaluation waits until the other search
+   has started evaluating too, so the two overlap. *)
+let test_concurrent_runs_cache_stats () =
+  let cache = Eval_cache.create () in
+  let designs =
+    List.map (fun seed -> (seed, compile_kernel ~n:8 Models.Polybench.Gemm)) [ 4; 5 ]
+  in
+  let started = Atomic.make 0 in
+  let overlap () =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  Parpool.with_pool ~jobs:2 (fun pool ->
+      let search (seed, (ctx, m)) =
+        let fresh = Atomic.make 0 in
+        let batch_wrap f =
+          if Atomic.fetch_and_add fresh 1 = 0 then overlap ();
+          f ()
+        in
+        let result = ref None in
+        let th =
+          Thread.create
+            (fun () ->
+              result :=
+                Some
+                  (Dse.run ~samples:10 ~iterations:12 ~seed ~cache ~pool ~batch_wrap
+                     ctx m ~top:"gemm" ~platform:P.xc7z020))
+            ()
+        in
+        (th, fresh, result)
+      in
+      let runs = List.map search designs in
+      List.iter (fun (th, _, _) -> Thread.join th) runs;
+      let misses =
+        List.map
+          (fun (_, fresh, result) ->
+            let r = Option.get !result in
+            let s = r.Dse.stats in
+            Alcotest.(check int) "misses = own fresh admissions" (Atomic.get fresh)
+              s.Dse.cache_misses;
+            Alcotest.(check int) "hits + misses = explored" r.Dse.explored
+              (s.Dse.cache_hits + s.Dse.cache_misses);
+            s.Dse.cache_misses)
+          runs
+      in
+      Alcotest.(check bool) "both searches evaluated" true
+        (List.for_all (fun n -> n > 0) misses);
+      Alcotest.(check int) "per-search misses sum to the cache's"
+        (Eval_cache.misses cache) (List.fold_left ( + ) 0 misses))
+
 (* ---- Eval_cache ------------------------------------------------------------------------- *)
 
 let test_eval_cache_basics () =
@@ -618,6 +675,8 @@ let suite =
       Alcotest.test_case "dse output is valid + equivalent" `Slow test_dse_result_is_valid_ir;
       Alcotest.test_case "pareto points fit platform" `Slow test_dse_respects_resources;
       Alcotest.test_case "dse caches: stats" `Slow test_run_cache_stats;
+      Alcotest.test_case "dse caches: per-search stats under concurrency" `Slow
+        test_concurrent_runs_cache_stats;
       Alcotest.test_case "parallel dse: -j invariant (gemm)" `Slow test_parallel_deterministic_gemm;
       Alcotest.test_case "parallel dse: -j invariant (syrk)" `Slow test_parallel_deterministic_syrk;
       Alcotest.test_case "parallel dse: -j invariant (surrogate)" `Slow

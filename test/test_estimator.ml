@@ -121,7 +121,8 @@ let test_ii_dep_recurrence () =
   let m = Ir.module_ [ f ] in
   let func = Ir.find_func_exn m "r" in
   let loop = List.hd (Analysis.Loop_utils.top_loops func) in
-  let ii = Vhls.Synth.ii_dep ~scope:func ~chain:[ loop ] loop in
+  let scope = Analysis.Loop_utils.scope_of func in
+  let ii = Vhls.Synth.ii_dep ~scope ~chain:[ loop ] loop in
   (* recurrence: load acc (2) + addf (5) + store (1) = 8 at distance 1 *)
   Alcotest.(check int) "II_dep equals recurrence delay" 8 ii
 
@@ -156,7 +157,8 @@ let test_ii_res_port_limit () =
   let func = List.hd (Ir.module_funcs (Ir.module_ [ f ])) in
   let loop = List.hd (Analysis.Loop_utils.top_loops func) in
   let basis = [ Affine_d.induction_var loop ] in
-  Alcotest.(check int) "II_res = ceil(4/2)" 2 (Vhls.Synth.ii_res ~scope:func ~basis loop)
+  let scope = Analysis.Loop_utils.scope_of func in
+  Alcotest.(check int) "II_res = ceil(4/2)" 2 (Vhls.Synth.ii_res ~scope ~basis loop)
 
 (* ---- Resource accounting ------------------------------------------------------------- *)
 

@@ -311,6 +311,18 @@ let test_weight_placement_budget () =
     (on_chip <= int_of_float (0.56 *. float_of_int Vhls.Platform.vu9p_slr.Vhls.Platform.memory_bits));
   Alcotest.(check bool) "spill covers the rest" true (off_chip > 0)
 
+(* Golden: ResNet-18 at G1+L7+D, the coarsest dataflow, whose one large
+   unrolled function carries most of the flow's affine.if guards. *)
+let test_dnn_flow_golden_resnet18_g1 () =
+  let ctx = Ir.Ctx.create () in
+  let m = Models.Resnet.build ctx in
+  let config = { Pipeline.graph_level = 1; loop_level = 7; directive = true } in
+  let out = Pipeline.dnn_flow ctx m ~config ~platform:Vhls.Platform.vu9p_slr in
+  let r = Vhls.Synth.synthesize out ~top:"forward" in
+  Alcotest.(check int) "output ops" 32596 (Walk.count (fun _ -> true) out);
+  Alcotest.(check int) "interval" 413801593 r.Vhls.Synth.interval;
+  Alcotest.(check int) "DSP" 8 r.Vhls.Synth.usage.Vhls.Platform.u_dsp
+
 let suite =
   ( "graph",
     [
@@ -327,6 +339,8 @@ let suite =
       Alcotest.test_case "split preserves semantics" `Quick test_split_preserves_semantics;
       Alcotest.test_case "dnn flow preserves semantics" `Slow test_dnn_flow_semantics;
       Alcotest.test_case "dnn flow improves throughput" `Slow test_dnn_flow_improves_throughput;
+      Alcotest.test_case "dnn flow golden: ResNet-18 G1+L7+D" `Slow
+        test_dnn_flow_golden_resnet18_g1;
       Alcotest.test_case "model parameter counts" `Quick test_model_parameter_counts;
       Alcotest.test_case "weight placement budget" `Quick test_weight_placement_budget;
     ] )

@@ -552,6 +552,29 @@ let test_histogram_cross_domain_merge () =
   Alcotest.(check bool) "merged median within observed range" true
     (p50 >= 0.001 && p50 <= 2.0)
 
+(* An observation's allocation must not depend on the observed value: a new
+   min or max (or a deeper bucket) costs the same minor words as a repeat.
+   Otherwise per-point allocation counts drift with the timings observed. *)
+let test_histogram_observe_alloc () =
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:Obs.Metrics.reset @@ fun () ->
+  let reg = Obs.Metrics.registry "test" in
+  let n = 2000 in
+  let minor_words_of name values =
+    let h = Obs.Metrics.histogram reg name in
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Obs.Metrics.observe h values.(i)
+    done;
+    Gc.minor_words () -. w0
+  in
+  (* increasing across ~30 log buckets, each a new max *)
+  let increasing = Array.init n (fun i -> 1e-6 *. (1.01 ** float_of_int i)) in
+  let equal = Array.make n 0.5 in
+  let w_equal = minor_words_of "equal" equal in
+  let w_increasing = minor_words_of "increasing" increasing in
+  Alcotest.(check (float 0.)) "same minor words" w_equal w_increasing
+
 (* ---- Prometheus exposition -------------------------------------------------- *)
 
 let prom_name_legal name =
@@ -796,6 +819,8 @@ let suite =
       Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
       Alcotest.test_case "histogram merge across domains" `Quick
         test_histogram_cross_domain_merge;
+      Alcotest.test_case "histogram observe allocation is value-independent"
+        `Quick test_histogram_observe_alloc;
       Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
       Alcotest.test_case "atomic export writes" `Quick test_write_atomic;
       Alcotest.test_case "events log roundtrip" `Quick test_events_roundtrip;

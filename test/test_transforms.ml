@@ -92,7 +92,8 @@ let test_order_opt_gemm_moves_reduction () =
   in
   let f = Ir.find_func_exn m1 "gemm" in
   let band = List.hd (Analysis.Loop_utils.bands f) in
-  match Loop_order_opt.optimize_band ~scope:f band with
+  let scope = Analysis.Loop_utils.scope_of f in
+  match Loop_order_opt.optimize_band ~scope band with
   | Some perm ->
       (* k (dim 2) must not stay innermost: it carries the accumulation *)
       Alcotest.(check bool) "k moved off innermost" true (List.nth perm 2 <> 2)
@@ -120,7 +121,8 @@ let test_explicit_perm_map_legality () =
   let f = Ir.find_func_exn m1 "gemm" in
   let band = List.hd (Analysis.Loop_utils.bands f) in
   (* [1;2;0] (the paper's Table 3 gemm row) is legal *)
-  (match Loop_order_opt.optimize_band ~perm_map:[ 1; 2; 0 ] ~scope:f band with
+  let scope = Analysis.Loop_utils.scope_of f in
+  (match Loop_order_opt.optimize_band ~perm_map:[ 1; 2; 0 ] ~scope band with
   | Some p -> Alcotest.(check (list int)) "accepted" [ 1; 2; 0 ] p
   | None -> Alcotest.fail "legal perm rejected");
   (* applying it preserves semantics *)
@@ -150,7 +152,7 @@ void skew(float A[8][8]) {
   let _, m = compile_c_affine src in
   let f = Ir.find_func_exn m "skew" in
   let band = List.hd (Analysis.Loop_utils.bands f) in
-  let deps = Loop_order_opt.band_deps ~scope:f band in
+  let deps = Loop_order_opt.band_deps ~scope:(Analysis.Loop_utils.scope_of f) band in
   Alcotest.(check bool) "swap illegal" false
     (Loop_order_opt.legal_permutation ~deps band [ 1; 0 ])
 
@@ -458,6 +460,51 @@ let test_random_points_preserve_semantics () =
       Alcotest.(check bool) (top ^ ": at least one point applied") true (!applied > 0))
     (Models.Polybench.all @ Models.Polybench.extras)
 
+(* ---- Scope environment ------------------------------------------------------- *)
+
+(* The single-walk scope environment answers every constant / defining-loop /
+   range query exactly like a fresh walk of the function: over fixed-seed
+   fuzz programs after every stage of their random pass pipelines, the
+   PolyBench kernels (variable-bound triangular loops included) and the
+   three lowered DNN models. The naive reference is quadratic in module
+   size, so fuzz stages past 2000 ops (a few unrolled outliers of up to
+   11k ops) are left out; the lowered models are about 1000 ops each. *)
+let test_scope_env_matches_naive () =
+  let checked = ref 0 in
+  let check ~msg m = checked := !checked + check_scope_env ~msg m in
+  let check_fuzz ~msg m = if Walk.count (fun _ -> true) m <= 2000 then check ~msg m in
+  for seed = 1 to 40 do
+    let p = Fuzz.Gen.program ~seed () in
+    let msg = Printf.sprintf "fuzz seed %d" seed in
+    check_fuzz ~msg p.Fuzz.Gen.module_;
+    ignore
+      (List.fold_left
+         (fun m name ->
+           let m' =
+             Pass.run_one
+               (Option.get (Transform_lib.find_pass name))
+               (Ir.Ctx.of_op m) m
+           in
+           check_fuzz ~msg:(msg ^ " after " ^ name) m';
+           m')
+         p.Fuzz.Gen.module_ (Fuzz.Gen.config p).Fuzz.Gen.pipeline)
+  done;
+  List.iter
+    (fun kernel ->
+      let _, m = compile_kernel ~n:8 kernel in
+      check ~msg:(Models.Polybench.name kernel) m)
+    (Models.Polybench.all @ Models.Polybench.extras);
+  List.iter
+    (fun (name, build) ->
+      let ctx = Ir.Ctx.create () in
+      check ~msg:name (Lower_graph.run ctx (build ctx)))
+    [
+      ("resnet18", Models.Resnet.build);
+      ("vgg16", Models.Vgg.build);
+      ("mobilenet", Models.Mobilenet.build);
+    ];
+  Alcotest.(check bool) "operands checked" true (!checked > 0)
+
 let suite =
   ( "transforms",
     [
@@ -486,6 +533,8 @@ let suite =
       Alcotest.test_case "write-only memref dropped" `Quick test_writeonly_memref_dropped;
       Alcotest.test_case "simplify-memref-access" `Quick test_simplify_memref_access;
       Alcotest.test_case "simplify-affine-if" `Quick test_simplify_affine_if;
+      Alcotest.test_case "scope environment matches naive walks" `Quick
+        test_scope_env_matches_naive;
       Alcotest.test_case "canonicalize: constant folding" `Quick test_canonicalize_folds_constants;
       Alcotest.test_case "canonicalize: trip-1 loops" `Quick test_canonicalize_removes_trip1;
       Alcotest.test_case "cse" `Quick test_cse_dedups;

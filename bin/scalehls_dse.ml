@@ -4,7 +4,6 @@
    design point — the per-kernel machinery behind Table 3. *)
 
 open Cmdliner
-open Mir
 open Scalehls
 
 let read_file path =
@@ -14,18 +13,21 @@ let read_file path =
   close_in ic;
   s
 
-let platform_of_name = function
-  | "xc7z020" -> Vhls.Platform.xc7z020
-  | "vu9p" | "vu9p-slr" -> Vhls.Platform.vu9p_slr
-  | p ->
-      Fmt.epr "unknown platform %s (xc7z020 | vu9p-slr)@." p;
-      exit 2
+let print_frontier pareto =
+  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
+  List.iter
+    (fun p ->
+      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
+        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point
+        p.Dse.point)
+    pareto
 
 (* The --remote client: ship the search to a running scalehls-serve daemon
-   and render its streamed responses. Config fields mirror the local flags,
-   so the daemon's answer (warm cache or not) is bit-identical to the
-   in-process run — including the Pareto-frontier block below, printed by
-   the same code path on the decoded points. *)
+   and render its streamed responses. The daemon runs the same design and
+   config through the same Serve.Search path, so its answer (warm cache or
+   not) is bit-identical to the in-process run — including the
+   Pareto-frontier block below, printed by the same code path on the
+   decoded points. *)
 let print_remote_result j =
   let module Json = Obs.Json in
   let int k = match Json.member k j with Some (Json.Int i) -> i | _ -> 0 in
@@ -57,47 +59,15 @@ let print_remote_result j =
     | Some (Json.List l) -> List.map Serve.Codec.evaluated_of_json l
     | _ -> []
   in
-  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
-  List.iter
-    (fun p ->
-      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
-        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point
-        p.Dse.point)
-    pareto;
+  print_frontier pareto;
   0
 
-let run_remote socket input kernel size top platform samples iterations seed
-    symbolic strategy window =
+let run_remote socket design config =
   let module Json = Obs.Json in
   (* After the result, if this client is tracing, pull the daemon's spans for
      our job and merge them into the local trace file (under their own pid),
      so one Chrome trace shows both halves of the remote search. *)
   let job_id = ref None in
-  let design =
-    match (input, kernel) with
-    | Some path, _ ->
-        let top =
-          match top with
-          | Some t -> t
-          | None -> Filename.remove_extension (Filename.basename path)
-        in
-        Serve.Protocol.C_source { src = read_file path; top }
-    | None, Some k -> Serve.Protocol.Kernel { kernel = k; size }
-    | None, None ->
-        Fmt.epr "provide an input file or --kernel NAME@.";
-        exit 2
-  in
-  let config =
-    {
-      Serve.Protocol.samples;
-      iterations;
-      seed;
-      symbolic;
-      platform;
-      strategy;
-      window;
-    }
-  in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX socket)
    with Unix.Unix_error (e, _, _) ->
@@ -174,46 +144,11 @@ let run_remote socket input kernel size top platform samples iterations seed
   in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) loop
 
-let run input kernel size top platform samples iterations seed jobs symbolic
-    strategy window profile emit remote trace metrics events =
-  Obs_flags.with_obs ~events ~trace ~metrics @@ fun () ->
-  match remote with
-  | Some socket ->
-      run_remote socket input kernel size top platform samples iterations seed
-        symbolic strategy window
-  | None ->
-  let ctx = Ir.Ctx.create () in
-  let src, top =
-    match (input, kernel) with
-    | Some path, _ ->
-        let top =
-          match top with
-          | Some t -> t
-          | None -> Filename.remove_extension (Filename.basename path)
-        in
-        (read_file path, top)
-    | None, Some k ->
-        let k = Models.Polybench.of_name k in
-        (Models.Polybench.source k ~n:size, Models.Polybench.name k)
-    | None, None ->
-        Fmt.epr "provide an input file or --kernel NAME@.";
-        exit 2
+let run_local ~jobs ~profile ~emit search =
+  let { Serve.Search.input = m; result = r; wall_s = dt } =
+    Serve.Search.run ~jobs search
   in
-  let platform = platform_of_name platform in
-  let strategy_impl =
-    match Qor_ml.strategy_of_name strategy with
-    | Some s -> s
-    | None ->
-        Fmt.epr "unknown strategy %s (%s)@." strategy
-          (String.concat " | " Qor_ml.strategy_names);
-        exit 2
-  in
-  let m = Pipeline.compile_c ctx src in
-  let r, dt =
-    Obs.Clock.time_s (fun () ->
-        Dse.run ~samples ~iterations ~seed ~jobs ~symbolic ~window
-          ~strategy:strategy_impl ctx m ~top ~platform)
-  in
+  let top = search.Serve.Search.top in
   Fmt.pr "explored %d design points in %.2fs (%.1f points/s, %d worker%s)@."
     r.Dse.explored dt
     (float_of_int r.Dse.explored /. Float.max 1e-9 dt)
@@ -286,12 +221,7 @@ let run input kernel size top platform samples iterations seed jobs symbolic
       Fmt.pr "speedup   : %.1fx@."
         (float_of_int base.Vhls.Synth.latency /. float_of_int (max 1 opt.Vhls.Synth.latency))
   | None -> Fmt.pr "no feasible design point found@.");
-  Fmt.pr "@.Pareto frontier (latency-increasing):@.";
-  List.iter
-    (fun p ->
-      Fmt.pr "  latency=%-10d dsp=%-5d %a@." p.Dse.estimate.Estimator.latency
-        p.Dse.estimate.Estimator.usage.Vhls.Platform.u_dsp Dse.pp_point p.Dse.point)
-    r.Dse.pareto;
+  print_frontier r.Dse.pareto;
   (match emit with
   | Some path ->
       let oc = open_out path in
@@ -301,14 +231,39 @@ let run input kernel size top platform samples iterations seed jobs symbolic
   | None -> ());
   0
 
-let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"INPUT.c" ~doc:"HLS-C input file")
-let kernel = Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"PolyBench kernel (bicg|gemm|gesummv|syr2k|syrk|trmm)")
-let size = Arg.(value & opt int 64 & info [ "size" ] ~docv:"N" ~doc:"Problem size for --kernel")
-let top = Arg.(value & opt (some string) None & info [ "top" ] ~docv:"FUNC" ~doc:"Top function")
-let platform = Arg.(value & opt string "xc7z020" & info [ "platform" ] ~doc:"Target platform")
-let samples = Arg.(value & opt int 32 & info [ "samples" ] ~doc:"Initial random samples")
-let iterations = Arg.(value & opt int 80 & info [ "iterations" ] ~doc:"Neighbor-traversal steps")
-let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed")
+let run design config jobs profile emit remote trace metrics events =
+  Obs_flags.with_obs ~events ~trace ~metrics @@ fun () ->
+  let resolved =
+    Result.bind design (fun d ->
+        Result.map (fun s -> (d, s)) (Serve.Search.resolve d config))
+  in
+  match (resolved, remote) with
+  | Error msg, _ ->
+      Fmt.epr "%s@." msg;
+      2
+  | Ok (design, _), Some socket -> run_remote socket design config
+  | Ok (_, search), None -> run_local ~jobs ~profile ~emit search
+
+(* The design to search, built once for the local and the --remote path. *)
+let design =
+  let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"INPUT.c" ~doc:"HLS-C input file") in
+  let kernel = Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"PolyBench kernel (bicg|gemm|gesummv|syr2k|syrk|trmm)") in
+  let size = Arg.(value & opt int Serve.Protocol.default_size & info [ "size" ] ~docv:"N" ~doc:"Problem size for --kernel") in
+  let top = Arg.(value & opt (some string) None & info [ "top" ] ~docv:"FUNC" ~doc:"Top function") in
+  let make input kernel size top =
+    match (input, kernel) with
+    | Some path, _ ->
+        let top =
+          match top with
+          | Some t -> t
+          | None -> Filename.remove_extension (Filename.basename path)
+        in
+        Ok (Serve.Protocol.C_source { src = read_file path; top })
+    | None, Some kernel -> Ok (Serve.Protocol.Kernel { kernel; size })
+    | None, None -> Error "provide an input file or --kernel NAME"
+  in
+  Term.(const make $ input $ kernel $ size $ top)
+
 let jobs =
   Arg.(
     value & opt int 1
@@ -317,22 +272,31 @@ let jobs =
           "Worker domains for parallel point evaluation (1 = sequential, 0 = \
            one per core). The result is identical for any value: same seed, \
            same frontier.")
-let window =
-  Arg.(
-    value & opt int Scalehls.Dse.default_window
-    & info [ "window" ] ~docv:"N"
-        ~doc:
-          "In-flight evaluation window of the asynchronous executor: the \
-           strategy proposes up to $(docv) points ahead while results commit \
-           strictly in order, so the frontier is a pure function of \
-           (--seed, --window) — independent of $(b,--jobs) and worker \
-           timing. Larger windows keep more workers busy; $(b,0) removes \
-           the bound and restores the legacy batch-synchronous rounds. \
-           Changing the window (like changing the seed) changes the search \
-           trajectory.")
 
-let symbolic =
-  Term.app (Term.const not)
+(* The search configuration: one flag per {!Serve.Protocol.config} field,
+   defaults read from {!Serve.Protocol.default_config} — the record a
+   --remote search ships to the daemon. *)
+let config =
+  let d = Serve.Protocol.default_config in
+  let platform = Arg.(value & opt string d.platform & info [ "platform" ] ~doc:"Target platform") in
+  let samples = Arg.(value & opt int d.samples & info [ "samples" ] ~doc:"Initial random samples") in
+  let iterations = Arg.(value & opt int d.iterations & info [ "iterations" ] ~doc:"Neighbor-traversal steps") in
+  let seed = Arg.(value & opt int d.seed & info [ "seed" ] ~doc:"RNG seed") in
+  let window =
+    Arg.(
+      value & opt int d.window
+      & info [ "window" ] ~docv:"N"
+          ~doc:
+            "In-flight evaluation window of the asynchronous executor: the \
+             strategy proposes up to $(docv) points ahead while results \
+             commit strictly in order, so the frontier is a pure function of \
+             (--seed, --window) — independent of $(b,--jobs) and worker \
+             timing. Larger windows keep more workers busy; $(b,0) removes \
+             the bound and restores the legacy batch-synchronous rounds. \
+             Changing the window (like changing the seed) changes the \
+             search trajectory.")
+  in
+  let no_symbolic =
     Arg.(
       value & flag
       & info [ "no-symbolic-eval" ]
@@ -341,18 +305,27 @@ let symbolic =
              body instead of the (default) symbolic unroll model. The two \
              paths produce identical results; this flag exists as an escape \
              hatch and for benchmarking the speedup.")
-
-let strategy =
-  Arg.(
-    value & opt string "exhaustive"
-    & info [ "strategy" ] ~docv:"NAME"
-        ~doc:
-          "Search strategy: $(b,exhaustive) (the paper's sample + \
-           Pareto-neighbor traversal) or $(b,surrogate) (an online \
-           recursive-least-squares model ranks each round's candidate pool \
-           and only the predicted-frontier shortlist is evaluated exactly — \
-           same frontier quality for a fraction of the exact evaluations). \
-           Both are deterministic for a given seed, local or $(b,--remote).")
+  in
+  let strategy =
+    Arg.(
+      value & opt string d.strategy
+      & info [ "strategy" ] ~docv:"NAME"
+          ~doc:
+            "Search strategy: $(b,exhaustive) (the paper's sample + \
+             Pareto-neighbor traversal) or $(b,surrogate) (an online \
+             recursive-least-squares model ranks each round's candidate pool \
+             and only the predicted-frontier shortlist is evaluated exactly — \
+             same frontier quality for a fraction of the exact evaluations). \
+             Both are deterministic for a given seed, local or \
+             $(b,--remote).")
+  in
+  let make samples iterations seed no_symbolic platform strategy window =
+    let symbolic = d.symbolic && not no_symbolic in
+    { Serve.Protocol.samples; iterations; seed; symbolic; platform; strategy; window }
+  in
+  Term.(
+    const make $ samples $ iterations $ seed $ no_symbolic $ platform $ strategy
+    $ window)
 
 let profile =
   Arg.(
@@ -382,8 +355,7 @@ let cmd =
   let doc = "ScaleHLS automated design space exploration" in
   Cmd.v (Cmd.info "scalehls-dse" ~doc)
     Term.(
-      const run $ input $ kernel $ size $ top $ platform $ samples $ iterations
-      $ seed $ jobs $ symbolic $ strategy $ window $ profile $ emit $ remote
+      const run $ design $ config $ jobs $ profile $ emit $ remote
       $ Obs_flags.trace $ Obs_flags.metrics $ Obs_flags.events)
 
 let () = exit (Cmd.eval' cmd)

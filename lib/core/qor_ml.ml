@@ -3,8 +3,8 @@
     hierarchical IR of ScaleHLS, thereby generating better estimation results
     than the analytical model-based methods."
 
-    A deliberately simple instance: linear regression (ordinary least
-    squares via normal equations) from hierarchical-IR features to the
+    A deliberately simple instance: linear regression (a batch
+    recursive-least-squares fit) from hierarchical-IR features to the
     log-latency reported by the virtual downstream tool. Training data is
     generated by sampling the DSE space and labelling each point with
     {!Vhls.Synth.synthesize} — the workflow a learned estimator would use
@@ -65,117 +65,6 @@ let features m ~top =
     log1p accesses; log1p banks; log1p nloops; 1.0;
   |]
 
-(* ---- Ordinary least squares ---------------------------------------------------- *)
-
-type model = { weights : float array }
-
-(* Solve (X^T X) w = X^T y by Gaussian elimination with partial pivoting,
-   with a small ridge term for stability. *)
-let fit (xs : float array list) (ys : float list) : model =
-  let n = num_features in
-  let a = Array.make_matrix n n 0.0 in
-  let b = Array.make n 0.0 in
-  List.iter2
-    (fun x y ->
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          a.(i).(j) <- a.(i).(j) +. (x.(i) *. x.(j))
-        done;
-        b.(i) <- b.(i) +. (x.(i) *. y)
-      done)
-    xs ys;
-  for i = 0 to n - 1 do
-    a.(i).(i) <- a.(i).(i) +. 1e-6
-  done;
-  (* elimination *)
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
-    done;
-    if !pivot <> col then begin
-      let t = a.(col) in
-      a.(col) <- a.(!pivot);
-      a.(!pivot) <- t;
-      let t = b.(col) in
-      b.(col) <- b.(!pivot);
-      b.(!pivot) <- t
-    end;
-    let p = a.(col).(col) in
-    if Float.abs p > 1e-12 then
-      for r = col + 1 to n - 1 do
-        let factor = a.(r).(col) /. p in
-        for c = col to n - 1 do
-          a.(r).(c) <- a.(r).(c) -. (factor *. a.(col).(c))
-        done;
-        b.(r) <- b.(r) -. (factor *. b.(col))
-      done
-  done;
-  let w = Array.make n 0.0 in
-  for i = n - 1 downto 0 do
-    let s = ref b.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (a.(i).(j) *. w.(j))
-    done;
-    w.(i) <- (if Float.abs a.(i).(i) > 1e-12 then !s /. a.(i).(i) else 0.0)
-  done;
-  { weights = w }
-
-let predict_log (m : model) (x : float array) =
-  let s = ref 0.0 in
-  Array.iteri (fun i xi -> s := !s +. (m.weights.(i) *. xi)) x;
-  !s
-
-(** Predicted latency (cycles). *)
-let predict (m : model) design ~top =
-  let lat = exp (predict_log m (features design ~top)) -. 1.0 in
-  max 1 (int_of_float lat)
-
-(* ---- Training against the virtual tool ------------------------------------------ *)
-
-type sample = { x : float array; y_log : float }
-
-(** Label a design with the virtual tool. *)
-let sample design ~top =
-  let r = Synth.synthesize design ~top in
-  {
-    x = features design ~top;
-    y_log = log (1.0 +. float_of_int r.Synth.latency);
-  }
-
-(** Train on randomly sampled DSE points of the given (module, top) pairs.
-    Returns the model and the training samples. *)
-let train ?(points_per_design = 12) ?(seed = 17) ctx designs =
-  let rng = Random.State.make [| seed |] in
-  let samples = ref [] in
-  List.iter
-    (fun (m, top) ->
-      samples := sample m ~top :: !samples;
-      let space = Dse.build_space ~max_unroll:64 ~max_ii:8 ctx m ~top in
-      let made = ref 0 and attempts = ref 0 in
-      while !made < points_per_design && !attempts < 4 * points_per_design do
-        incr attempts;
-        let pt = Dse.random_point rng space in
-        match Dse.apply_point ctx m ~top pt with
-        | m' ->
-            incr made;
-            samples := sample m' ~top :: !samples
-        | exception Dse.Inapplicable -> ()
-      done)
-    designs;
-  let samples = !samples in
-  (fit (List.map (fun s -> s.x) samples) (List.map (fun s -> s.y_log) samples), samples)
-
-(** Mean absolute log-error of the model on samples (lower is better; 0.69
-    corresponds to a 2x average ratio). *)
-let mean_abs_log_error model samples =
-  let total =
-    List.fold_left
-      (fun acc s -> acc +. Float.abs (predict_log model s.x -. s.y_log))
-      0.0 samples
-  in
-  total /. float_of_int (max 1 (List.length samples))
-
 (* ---- Online recursive least squares ---------------------------------------------- *)
 
 (** Recursive least squares with a Sherman–Morrison covariance update: each
@@ -231,6 +120,71 @@ module Online = struct
     done;
     t.n <- t.n + 1
 end
+
+(* ---- Batch fit ------------------------------------------------------------------- *)
+
+type model = Online.t
+
+(** Least squares as one recursive-least-squares pass over the samples: the
+    same {!Online} model the surrogate strategy updates incrementally, with
+    a weak prior ([tau = 1e6], i.e. a 1e-6 ridge) so the fit is ordinary
+    least squares up to that regularization. *)
+let fit (xs : float array list) (ys : float list) : model =
+  let t = Online.create ~dim:num_features ~tau:1e6 () in
+  List.iter2 (Online.observe t) xs ys;
+  t
+
+let predict_log = Online.predict
+
+(** Predicted latency (cycles). *)
+let predict (m : model) design ~top =
+  let lat = exp (predict_log m (features design ~top)) -. 1.0 in
+  max 1 (int_of_float lat)
+
+(* ---- Training against the virtual tool ------------------------------------------ *)
+
+type sample = { x : float array; y_log : float }
+
+(** Label a design with the virtual tool. *)
+let sample design ~top =
+  let r = Synth.synthesize design ~top in
+  {
+    x = features design ~top;
+    y_log = log (1.0 +. float_of_int r.Synth.latency);
+  }
+
+(** Train on randomly sampled DSE points of the given (module, top) pairs.
+    Returns the model and the training samples. *)
+let train ?(points_per_design = 12) ?(seed = 17) ctx designs =
+  let rng = Random.State.make [| seed |] in
+  let samples = ref [] in
+  List.iter
+    (fun (m, top) ->
+      samples := sample m ~top :: !samples;
+      let space = Dse.build_space ~max_unroll:64 ~max_ii:8 ctx m ~top in
+      let made = ref 0 and attempts = ref 0 in
+      while !made < points_per_design && !attempts < 4 * points_per_design do
+        incr attempts;
+        let pt = Dse.random_point rng space in
+        match Dse.apply_point ctx m ~top pt with
+        | m' ->
+            incr made;
+            samples := sample m' ~top :: !samples
+        | exception Dse.Inapplicable -> ()
+      done)
+    designs;
+  let samples = !samples in
+  (fit (List.map (fun s -> s.x) samples) (List.map (fun s -> s.y_log) samples), samples)
+
+(** Mean absolute log-error of the model on samples (lower is better; 0.69
+    corresponds to a 2x average ratio). *)
+let mean_abs_log_error model samples =
+  let total =
+    List.fold_left
+      (fun acc s -> acc +. Float.abs (predict_log model s.x -. s.y_log))
+      0.0 samples
+  in
+  total /. float_of_int (max 1 (List.length samples))
 
 (* ---- Point-level features -------------------------------------------------------- *)
 

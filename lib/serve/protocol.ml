@@ -2,15 +2,17 @@
     request is one JSON object on one line with a ["req"] discriminator;
     every response is one JSON object on one line with a ["resp"]
     discriminator. A [search] request streams: an [ack], then a [frontier]
-    update per traversal round, then one final [result] (or [error]). The
-    other requests are single-shot. This module is pure parse/build — the
-    socket loop lives in {!Server}.
+    update per traversal round, then one final [result] (or [error]). A
+    search that {!Search.resolve} rejects — negative samples, iterations or
+    window, an unknown kernel, platform or strategy — gets one [error] and
+    no [ack]. The other requests are single-shot. This module is pure
+    parse/build — the socket loop lives in {!Server}.
 
     Requests:
     {v
-    {"req":"search","design":{"kernel":"gemm","size":64},
-     "config":{"samples":32,"iterations":80,"seed":42,
-               "symbolic":true,"platform":"xc7z020"}}
+    {"req":"search","design":{"kernel":"gemm","size":16},
+     "config":{"samples":16,"iterations":40,"seed":7,"symbolic":true,
+               "platform":"vu9p-slr","strategy":"surrogate","window":4}}
     {"req":"search","design":{"c":"void f(...){...}","top":"f"},...}
     {"req":"status"} {"req":"ping"} {"req":"checkpoint"} {"req":"shutdown"}
     {"req":"metrics"} {"req":"trace","job":3}
@@ -24,9 +26,10 @@
 
     There is no IR parser in this repository, so designs are either a named
     PolyBench kernel with a problem size or HLS-C source compiled by the
-    frontend — not MLIR text. Config fields are optional and default to the
-    [scalehls-dse] CLI defaults, so a remote search with the same flags
-    reproduces the in-process run bit-for-bit. *)
+    frontend — not MLIR text. Config fields are optional and default to
+    {!default_config}. [scalehls-dse] takes its flag defaults from the same
+    record and both tools run a search through {!Search}, so a remote search
+    with the same flags reproduces the in-process run bit-for-bit. *)
 
 open Scalehls
 module Json = Obs.Json
@@ -45,8 +48,8 @@ type config = {
   window : int;  (** executor in-flight window; 0 = legacy batch rounds *)
 }
 
-(* Defaults mirror the scalehls-dse CLI (not the engine's internal
-   defaults): a remote request and a local run with no flags agree. *)
+(** The search defaults of both [scalehls-dse] and the daemon (not the
+    engine's internal ones). *)
 let default_config =
   {
     samples = 32;
@@ -57,6 +60,9 @@ let default_config =
     strategy = "exhaustive";
     window = Dse.default_window;
   }
+
+(** Problem size of a [kernel] design that names none. *)
+let default_size = 64
 
 type request =
   | Search of { design : design; config : config }
@@ -75,7 +81,7 @@ let design_of_json j =
   match (Json.member "kernel" j, Json.member "c" j) with
   | Some k, None ->
       let size =
-        match Json.member "size" j with Some s -> Codec.to_int s | None -> 64
+        match Json.member "size" j with Some s -> Codec.to_int s | None -> default_size
       in
       Kernel { kernel = Codec.to_string k; size }
   | None, Some src ->

@@ -11,6 +11,14 @@ let compile_kernel ?(n = 8) kernel =
   let m = Pass.run_one Frontend.Raise_affine.pass ctx m in
   (ctx, m)
 
+(* Run [f] on every element of [xs] on [pool]'s workers: one stream, every
+   task submitted before any is awaited, results collected by id in
+   submission order. *)
+let run_on_pool pool f xs =
+  let st = Parpool.stream pool in
+  let ids = List.map (fun x -> Parpool.submit st (fun () -> f x)) xs in
+  List.map (Parpool.await st) ids
+
 (* Deterministic pseudo-random buffer contents. *)
 let fill_pattern seed i = float_of_int ((((i * 7) + seed) mod 11) - 5) /. 2.
 

@@ -359,7 +359,7 @@ let test_eval_cache_concurrent () =
   let c : (int, int) Eval_cache.t = Eval_cache.create () in
   let pool = Parpool.create ~jobs:3 () in
   let keys = List.init 60 (fun i -> i mod 10) in
-  let vals = Parpool.map pool (fun k -> Eval_cache.find_or_add c k (fun () -> k * k)) keys in
+  let vals = run_on_pool pool (fun k -> Eval_cache.find_or_add c k (fun () -> k * k)) keys in
   Parpool.shutdown pool;
   Alcotest.(check bool) "all values correct" true
     (List.for_all2 (fun k v -> v = k * k) keys vals);
@@ -367,38 +367,7 @@ let test_eval_cache_concurrent () =
 
 (* ---- Parpool ---------------------------------------------------------------------------- *)
 
-let test_parpool_matches_sequential () =
-  let xs = List.init 100 Fun.id in
-  let f x = (x * 7) mod 13 in
-  Parpool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "order preserved" (List.map f xs) (Parpool.map pool f xs);
-      (* pool is reusable across batches *)
-      Alcotest.(check (list int)) "second batch" (List.map f xs) (Parpool.map pool f xs);
-      Alcotest.(check (list int)) "empty batch" [] (Parpool.map pool f []))
-
-let test_parpool_inline_when_sequential () =
-  let pool = Parpool.create ~jobs:1 () in
-  Alcotest.(check (list int)) "jobs=1 runs inline" [ 2; 4 ]
-    (Parpool.map pool (fun x -> 2 * x) [ 1; 2 ]);
-  Parpool.shutdown pool
-
 exception Boom of int
-
-let test_parpool_propagates_exceptions () =
-  Parpool.with_pool ~jobs:3 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Parpool.map pool (fun x -> if x mod 4 = 3 then raise (Boom x) else x)
-               (List.init 12 Fun.id));
-          None
-        with Boom x -> Some x
-      in
-      (* the first failing submission wins, deterministically *)
-      Alcotest.(check (option int)) "first error by submission order" (Some 3) raised;
-      (* the pool survives a failed batch *)
-      Alcotest.(check (list int)) "pool still usable" [ 1; 2; 3 ]
-        (Parpool.map pool Fun.id [ 1; 2; 3 ]))
 
 (* The streaming API under out-of-order completion: earlier submissions
    sleep longer, so workers finish them last — awaiting by id must still
@@ -441,9 +410,9 @@ let test_parpool_stream_out_of_order () =
       | _ -> Alcotest.fail "expected Ok 9");
       Alcotest.(check bool) "take after consume is None" true
         (Parpool.take st id = None);
-      (* The pool is reusable after stream errors — including batch map. *)
-      Alcotest.(check (list int)) "map still works" [ 0; 2; 4 ]
-        (Parpool.map pool (fun x -> 2 * x) [ 0; 1; 2 ]))
+      (* The pool is reusable after stream errors, from a fresh stream too. *)
+      Alcotest.(check (list int)) "pool still usable" [ 0; 2; 4 ]
+        (run_on_pool pool (fun x -> 2 * x) [ 0; 1; 2 ]))
 
 (* jobs=1 streams run inline at submit time; a raising task must capture
    its exception into the result (never raise at [submit]). *)
@@ -661,9 +630,6 @@ let suite =
       prop_pareto_matches_naive;
       Alcotest.test_case "eval cache: basics" `Quick test_eval_cache_basics;
       Alcotest.test_case "eval cache: concurrent" `Quick test_eval_cache_concurrent;
-      Alcotest.test_case "parpool: map = sequential map" `Quick test_parpool_matches_sequential;
-      Alcotest.test_case "parpool: jobs=1 inline" `Quick test_parpool_inline_when_sequential;
-      Alcotest.test_case "parpool: exceptions" `Quick test_parpool_propagates_exceptions;
       Alcotest.test_case "parpool: stream out-of-order" `Quick
         test_parpool_stream_out_of_order;
       Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;

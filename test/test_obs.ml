@@ -77,14 +77,14 @@ let test_span_parpool () =
   let n = 30 in
   let out =
     Parpool.with_pool ~jobs:3 (fun pool ->
-        Parpool.map pool
+        run_on_pool pool
           (fun i ->
             Obs.Trace.with_span ~cat:"t" "work"
               ~args:[ ("i", Obs.Json.Int i) ]
               (fun () -> i * i))
           (List.init n Fun.id))
   in
-  Alcotest.(check (list int)) "map results ordered" (List.init n (fun i -> i * i)) out;
+  Alcotest.(check (list int)) "results ordered" (List.init n (fun i -> i * i)) out;
   (* flush after with_pool: workers are joined, buffers are safe *)
   let evs =
     List.filter (fun e -> e.Obs.Trace.name = "work") (Obs.Trace.events ())
@@ -125,7 +125,7 @@ let test_counter_across_domains () =
   let jobs = 4 and per_task = 250 in
   Parpool.with_pool ~jobs (fun pool ->
       ignore
-        (Parpool.map pool
+        (run_on_pool pool
            (fun _ ->
              (* re-resolve by name on the worker: same cell *)
              let c' = Obs.Metrics.counter (Obs.Metrics.registry "test") "hits" in
@@ -534,7 +534,7 @@ let test_histogram_cross_domain_merge () =
   let jobs = 4 and per_task = 250 in
   Parpool.with_pool ~jobs (fun pool ->
       ignore
-        (Parpool.map pool
+        (run_on_pool pool
            (fun task ->
              let h =
                Obs.Metrics.histogram (Obs.Metrics.registry "test") "merged"

@@ -338,6 +338,129 @@ let test_store_warm_run_bit_identical () =
 let test_store_warm_run_surrogate () =
   check_store_warm_run_bit_identical ~strategy:(Some (Qor_ml.surrogate ())) ()
 
+(* ---- One search path: the resolver and the daemon's request path ----------- *)
+
+let gemm8 = Sp.Kernel { kernel = "gemm"; size = 8 }
+let small = { Sp.default_config with Sp.samples = 4; iterations = 4 }
+
+(* An in-process daemon serving one end of a socket pair; [f] talks to it
+   through [request], which sends one line and returns the responses up to
+   the first that ends the exchange. *)
+let with_daemon f =
+  let t = Serve.Server.create ~socket:"unbound.sock" ~jobs:1 () in
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Thread.create (Serve.Server.handle_conn t) server in
+  let ic = Unix.in_channel_of_descr client in
+  let oc = Unix.out_channel_of_descr client in
+  let request line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc;
+    let rec read acc =
+      let j = Result.get_ok (Json.of_string (input_line ic)) in
+      match Json.member "resp" j with
+      | Some (Json.String ("ack" | "frontier")) -> read (j :: acc)
+      | _ -> List.rev (j :: acc)
+    in
+    read []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop t;
+      close_out_noerr oc;
+      Thread.join conn)
+    (fun () -> f t request)
+
+let search_line design config =
+  Json.to_string (Sp.search_request ~design ~config)
+
+(* A rejected search is answered with one [error] carrying the resolver's
+   message: no [ack], no job. *)
+let expect_rejected request line msg =
+  match request line with
+  | [ j ] ->
+      Alcotest.(check (option string)) "error response" (Some "error")
+        (Option.map Serve.Codec.to_string (Json.member "resp" j));
+      Alcotest.(check (option string)) "resolver's message" (Some msg)
+        (Option.map Serve.Codec.to_string (Json.member "message" j))
+  | rs -> Alcotest.failf "%s: expected one error, got %d responses" line (List.length rs)
+
+let resolve_error design config =
+  match Serve.Search.resolve design config with
+  | Ok _ -> Alcotest.fail "resolver accepted a bad search"
+  | Error msg -> msg
+
+(* Unchecked, negative samples make the engine recurse until the stack
+   overflows and a negative window raises Queue.Empty out of the executor:
+   the resolver rejects them at the boundary, and the daemon keeps
+   serving. *)
+let test_search_rejects_negative_config () =
+  with_daemon @@ fun t request ->
+  List.iter
+    (fun (field, config) ->
+      let msg = resolve_error gemm8 config in
+      Alcotest.(check string) field (field ^ " must be >= 0 (got -1)") msg;
+      expect_rejected request (search_line gemm8 config) msg)
+    [
+      ("samples", { small with Sp.samples = -1 });
+      ("iterations", { small with Sp.iterations = -1 });
+      ("window", { small with Sp.window = -1 });
+    ];
+  expect_rejected request
+    {|{"req":"search","design":{"kernel":"gemm"},"config":{"samples":-1}}|}
+    "samples must be >= 0 (got -1)";
+  let queued, running, done_, failed = Serve.Jobs.counts t.Serve.Server.registry in
+  Alcotest.(check (list int)) "no job registered" [ 0; 0; 0; 0 ]
+    [ queued; running; done_; failed ];
+  match request {|{"req":"ping"}|} with
+  | [ j ] when Json.member "resp" j = Some (Json.String "pong") -> ()
+  | _ -> Alcotest.fail "daemon stopped serving after a rejected search"
+
+let test_search_resolves_names () =
+  Alcotest.(check bool) "vu9p alias" true
+    (Vhls.Platform.of_name "vu9p" = Some P.vu9p_slr);
+  (match Serve.Search.resolve gemm8 { small with Sp.platform = "vu9p" } with
+  | Ok s ->
+      Alcotest.(check string) "alias resolves to the SLR" "vu9p-slr"
+        s.Serve.Search.platform.P.name
+  | Error msg -> Alcotest.fail msg);
+  with_daemon @@ fun _ request ->
+  List.iter
+    (fun (what, design, config) ->
+      let msg = resolve_error design config in
+      Alcotest.(check bool) (what ^ " named") true
+        (String.starts_with ~prefix:("unknown " ^ what) msg);
+      expect_rejected request (search_line design config) msg)
+    [
+      ("kernel", Sp.Kernel { kernel = "warp-core"; size = 8 }, small);
+      ("platform", gemm8, { small with Sp.platform = "zynq-9000" });
+      ("strategy", gemm8, { small with Sp.strategy = "annealing" });
+    ]
+
+(* Remote = local by construction: the daemon's answer to a search with
+   non-default fields is the in-process [Search.run] frontier. *)
+let test_daemon_matches_local () =
+  let config =
+    { small with Sp.seed = 7; window = 0; symbolic = false; platform = "vu9p" }
+  in
+  let local =
+    (Serve.Search.run (Result.get_ok (Serve.Search.resolve gemm8 config)))
+      .Serve.Search.result
+  in
+  with_daemon @@ fun _ request ->
+  match List.rev (request (search_line gemm8 config)) with
+  | final :: _ when Json.member "resp" final = Some (Json.String "result") ->
+      let pareto =
+        match Json.member "pareto" final with
+        | Some (Json.List l) -> List.map Serve.Codec.evaluated_of_json l
+        | _ -> []
+      in
+      Alcotest.(check bool) "same frontier" true (pareto = local.Dse.pareto);
+      Alcotest.(check (option int)) "same exploration"
+        (Some local.Dse.explored)
+        (Option.map Serve.Codec.to_int (Json.member "explored" final))
+  | _ -> Alcotest.fail "daemon search did not end in a result"
+
 let suite =
   ( "serve",
     [
@@ -359,4 +482,10 @@ let suite =
         test_store_warm_run_bit_identical;
       Alcotest.test_case "warm store replays the surrogate bit-identical" `Quick
         test_store_warm_run_surrogate;
+      Alcotest.test_case "search rejects negative configs" `Quick
+        test_search_rejects_negative_config;
+      Alcotest.test_case "search resolves names" `Quick
+        test_search_resolves_names;
+      Alcotest.test_case "daemon search matches local" `Quick
+        test_daemon_matches_local;
     ] )

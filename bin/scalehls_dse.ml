@@ -194,6 +194,11 @@ let run_local ~jobs ~profile ~emit search =
       est_hits est_misses
       (100. *. Dse.hit_rate est_hits est_misses)
       (float_of_int est_misses /. float_of_int evaluated);
+    (* Deterministic work of the dependence-constrained II (Eq. 4) over
+       every re-scheduled band. *)
+    let ii_pairs, ii_checks = Vhls.Synth.ii_dep_work () in
+    Fmt.pr "ii_dep     : %d access pairs analysed, %d feasibility checks@." ii_pairs
+      ii_checks;
     Fmt.pr "workers    : %a@."
       Fmt.(
         list ~sep:comma (fun fmt (i, f) -> pf fmt "#%d %.0f%% busy" i (100. *. f)))

@@ -157,114 +157,174 @@ let dependence_forms ~num_dims (src : Mem_access.t) forms_src
            with Independent -> None)
     | _ -> Some (List.init num_dims (fun _ -> Star))
 
-let dependence ~num_dims (src : Mem_access.t) (dst : Mem_access.t) =
-  dependence_forms ~num_dims src
-    (linear_form ~num_dims src)
-    dst
-    (linear_form ~num_dims dst)
-
 (* ---- Guard- and domain-aware refinement ----------------------------------- *)
 
-(* The src-before-dst direction of a non-uniform pair, carried at band level
-   [level]: is it feasible, given iteration domains [ranges] (inclusive, in
-   iteration space) and the accesses' affine.if guards? Variables are
-   x = I ++ I' (2*num_dims). *)
-let direction_feasible ~num_dims ~ranges (src : Mem_access.t) (dst : Mem_access.t)
-    ~level =
-  let nvars = 2 * num_dims in
-  let lin coeffs cst = { Fm.coeffs; cst } in
-  let var side d =
-    (* unit vector for I_d (side=0) or I'_d (side=1) *)
-    let a = Array.make nvars 0 in
-    a.((side * num_dims) + d) <- 1;
-    a
-  in
-  let cons = ref [] in
-  let add c = cons := c :: !cons in
-  (* domains *)
-  Array.iteri
-    (fun d (lo, hi) ->
-      List.iter
-        (fun side ->
-          add (lin (var side d) (-lo));
-          add (lin (Array.map (fun x -> -x) (var side d)) hi))
-        [ 0; 1 ])
-    ranges;
-  (* touch equalities from the linear rows *)
-  let rows side (a : Mem_access.t) =
-    List.map
-      (fun e ->
-        match A.Expr.coefficients ~num_dims (A.Expr.simplify e) with
-        | Some (coeffs, cst) ->
-            let full = Array.make nvars 0 in
-            Array.iteri (fun d c -> full.((side * num_dims) + d) <- c) coeffs;
-            Some (full, cst)
-        | None -> None)
-      a.Mem_access.exprs
-  in
-  let rs = rows 0 src and rd = rows 1 dst in
-  let ok = ref true in
-  List.iter2
-    (fun r1 r2 ->
-      match (r1, r2) with
-      | Some (c1, k1), Some (c2, k2) ->
-          let diff = Array.init nvars (fun i -> c1.(i) - c2.(i)) in
-          add (lin diff (k1 - k2));
-          add (lin (Array.map (fun x -> -x) diff) (k2 - k1))
-      | _ -> ok := false)
-    rs rd;
-  (* guards *)
-  let add_guards side (a : Mem_access.t) =
-    List.iter
-      (fun (c : A.Set_.constraint_) ->
-        match A.Expr.coefficients ~num_dims (A.Expr.simplify c.A.Set_.expr) with
-        | Some (coeffs, cst) ->
-            let full = Array.make nvars 0 in
-            Array.iteri (fun d v -> full.((side * num_dims) + d) <- v) coeffs;
-            add (lin full cst);
-            if c.A.Set_.eq then add (lin (Array.map (fun x -> -x) full) (-cst))
-        | None -> () (* unrepresentable guard: drop (sound) *))
-      a.Mem_access.guards
-  in
-  add_guards 0 src;
-  add_guards 1 dst;
-  (* lexicographic ordering: I_d = I'_d for d < level; I'_level >= I_level+1 *)
-  for d = 0 to level - 1 do
-    let diff = Array.init nvars (fun i ->
-        if i = d then 1 else if i = num_dims + d then -1 else 0)
+(** The rows one access contributes to the rational feasibility system of
+    every pair it takes part in, over the band dims: its touch rows ([None]
+    for a non-linear one) and its representable affine.if guards, with
+    [true] marking an equality. Unrepresentable guards are dropped (sound:
+    fewer constraints only widen the dependence relation). A pure function
+    of the access, so callers compute it once per access rather than once
+    per pair and carried level. *)
+type fm_rows = {
+  touch : (int array * int) option list;
+  guards : (int array * int * bool) list;
+}
+
+let fm_rows ~num_dims (a : Mem_access.t) =
+  let linear e = A.Expr.coefficients ~num_dims (A.Expr.simplify e) in
+  {
+    touch = List.map linear a.Mem_access.exprs;
+    guards =
+      List.filter_map
+        (fun (c : A.Set_.constraint_) ->
+          Option.map (fun (cs, k) -> (cs, k, c.A.Set_.eq)) (linear c.A.Set_.expr))
+        a.Mem_access.guards;
+  }
+
+(* The system of a pair depends on its accesses only through the touch-row
+   differences and the two guard lists, so pairs of unrolled copies at the
+   same relative offset share one entry. *)
+module System_tbl = Hashtbl.Make (struct
+  type t =
+    (int array * int array * int) list
+    * (int array * int * bool) list
+    * (int array * int * bool) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 100 400
+end)
+
+(** Carried-level feasibility for the pairs of one band, given its iteration
+    domains [ranges] (inclusive, in iteration space): a memo of verdicts per
+    pair system and carried level, and the number of rational feasibility
+    checks actually run. *)
+type carried = {
+  num_dims : int;
+  ranges : (int * int) array;
+  verdicts : bool option array System_tbl.t;
+  mutable checks : int;
+}
+
+let carried ~num_dims ~ranges =
+  { num_dims; ranges; verdicts = System_tbl.create 64; checks = 0 }
+
+(** Feasibility of the src-before-dst direction of a pair, carried at each
+    band level, from the rows of both accesses. [None] when some touch row
+    is not linear: every level is then conservatively feasible. Otherwise
+    [Some feasible], where [feasible level] decides by one rational
+    feasibility check (or the memo of {!carried}) the system: I and I' in
+    their domains, both accesses touch the same element under their guards,
+    I_d = I'_d for d < level and I'_level >= I_level + 1. Variables are
+    x = I ++ I' (2*num_dims); the constraints shared by every level are
+    built at most once per pair, and only if some verdict is not memoized. *)
+let carried_levels (c : carried) (src : fm_rows) (dst : fm_rows) =
+  let linear rows = List.for_all Option.is_some rows.touch in
+  if not (linear src && linear dst) then None
+  else begin
+    let num_dims = c.num_dims in
+    let touch =
+      List.map2
+        (fun r1 r2 ->
+          let c1, k1 = Option.get r1 and c2, k2 = Option.get r2 in
+          (c1, c2, k1 - k2))
+        src.touch dst.touch
     in
-    add (lin diff 0);
-    add (lin (Array.map (fun x -> -x) diff) 0)
-  done;
-  let lt = Array.init nvars (fun i ->
-      if i = level then -1 else if i = num_dims + level then 1 else 0)
-  in
-  add (lin lt (-1));
-  if not !ok then true
-  else try Fm.feasible ~nvars !cons with Fm.Give_up -> true
-
-(* Replace an all-Star (non-uniform) dependence by one dep per feasible
-   carried level; [] when no level is feasible (no loop-carried dep). *)
-let refine_star_dep ~num_dims ~ranges (dep : dep) =
-  if not (List.for_all (( = ) Star) dep.dirs) then [ dep ]
-  else
-    List.filter_map
+    let key = (touch, src.guards, dst.guards) in
+    let verdicts =
+      match System_tbl.find_opt c.verdicts key with
+      | Some v -> v
+      | None ->
+          let v = Array.make num_dims None in
+          System_tbl.add c.verdicts key v;
+          v
+    in
+    let nvars = 2 * num_dims in
+    let lin coeffs cst = { Fm.coeffs; cst } in
+    let neg = Array.map (fun x -> -x) in
+    (* [coeffs] over I (side 0) or I' (side 1) *)
+    let place side coeffs =
+      let full = Array.make nvars 0 in
+      Array.iteri (fun d x -> full.((side * num_dims) + d) <- x) coeffs;
+      full
+    in
+    let shared =
+      lazy
+        (let cons = ref [] in
+         let add x = cons := x :: !cons in
+         (* domains *)
+         Array.iteri
+           (fun d (lo, hi) ->
+             List.iter
+               (fun side ->
+                 let unit = place side (Array.init num_dims (fun i -> if i = d then 1 else 0)) in
+                 add (lin unit (-lo));
+                 add (lin (neg unit) hi))
+               [ 0; 1 ])
+           c.ranges;
+         (* touch equalities *)
+         List.iter
+           (fun (c1, c2, k) ->
+             let p1 = place 0 c1 and p2 = place 1 c2 in
+             let diff = Array.init nvars (fun i -> p1.(i) - p2.(i)) in
+             add (lin diff k);
+             add (lin (neg diff) (-k)))
+           touch;
+         (* guards *)
+         List.iter
+           (fun (side, rows) ->
+             List.iter
+               (fun (cs, k, eq) ->
+                 let full = place side cs in
+                 add (lin full k);
+                 if eq then add (lin (neg full) (-k)))
+               rows.guards)
+           [ (0, src); (1, dst) ];
+         !cons)
+    in
+    let check level =
+      (* lexicographic ordering: I_d = I'_d for d < level;
+         I'_level >= I_level + 1 *)
+      let cons = ref (Lazy.force shared) in
+      let add x = cons := x :: !cons in
+      for d = 0 to level - 1 do
+        let diff = Array.init nvars (fun i ->
+            if i = d then 1 else if i = num_dims + d then -1 else 0)
+        in
+        add (lin diff 0);
+        add (lin (neg diff) 0)
+      done;
+      add (lin (Array.init nvars (fun i ->
+          if i = level then -1 else if i = num_dims + level then 1 else 0)) (-1));
+      c.checks <- c.checks + 1;
+      try Fm.feasible ~nvars !cons with Fm.Give_up -> true
+    in
+    Some
       (fun level ->
-        if direction_feasible ~num_dims ~ranges dep.src dep.dst ~level then
-          Some
-            {
-              dep with
-              dirs =
-                List.init num_dims (fun d ->
-                    if d < level then Eq else if d = level then Lt 1 else Star);
-            }
-        else None)
-      (List.init num_dims Fun.id)
+        match verdicts.(level) with
+        | Some v -> v
+        | None ->
+            let v = check level in
+            verdicts.(level) <- Some v;
+            v)
+  end
 
-(** All dependences among [accs] (ordered pairs, both directions), over
-    [num_dims] band dims. [ranges] (inclusive iteration-space bounds per
-    dim) enables the guard-aware Fourier-Motzkin refinement of non-uniform
-    dependences. *)
+(** The direction vector of a dependence carried at [level]: [Eq] outside,
+    [Lt 1] at [level], [Star] inside. *)
+let level_dirs ~num_dims level =
+  List.init num_dims (fun d -> if d < level then Eq else if d = level then Lt 1 else Star)
+
+(* ---- Candidate pairs -------------------------------------------------------- *)
+
+(** An access with its linear form ({!linear_form}); [idx] is its position in
+    the list given to {!candidate_blocks}, so callers can keep per-access
+    data in arrays. *)
+type entry = {
+  access : Mem_access.t;
+  form : (int array * int) list option;
+  idx : int;
+}
+
 (* Residue signature of a linear form within a coefficient class: one entry
    per access-map row — the full constant for all-zero rows (the uniform
    solve requires equal constants there), the constant modulo the stride for
@@ -293,141 +353,126 @@ let residue_sig rows =
       | _ -> min_int)
     rows
 
-let all_deps ?ranges ~num_dims accs =
-  (* Linear forms are a pure function of the access: compute each once
-     instead of once per ordered pair (the dominant cost on wide unrolled
-     bodies with hundreds of accesses). *)
-  let forms = List.map (fun a -> (a, linear_form ~num_dims a)) accs in
-  let dep_of ((src : Mem_access.t), fs) ((dst : Mem_access.t), fd) =
-    match dependence_forms ~num_dims src fs dst fd with
-    | Some dirs -> Some { src; dst; dirs }
-    | None -> None
+(** The ordered access pairs of [accs] that can depend, as blocks
+    [(srcs, dsts)]: every pair of [srcs × dsts] is a candidate, including an
+    access paired with itself (a store's self-dependence across
+    iterations). The blocks are disjoint, and a pair in no block provably
+    has no dependence ([dependence_forms] returns [None]).
+
+    This sieve avoids the all-pairs scan, which is quadratic in the access
+    count (a symbolically expanded gemm band carries ~1000 accesses =
+    ~10^6 ordered pairs, nearly all provably independent). Accesses are
+    grouped by memref (cross-memref pairs never depend) and load-only groups
+    are dropped (a dependence needs a store). Within a group, accesses with
+    the same coefficients (a class) are bucketed by {!residue_sig}, and only
+    same-bucket pairs survive the uniform solve's divisibility sieve. Pairs
+    across classes and pairs with a non-linear access form the remaining
+    blocks; they are rare. *)
+let candidate_blocks ~num_dims accs =
+  let entries =
+    List.mapi (fun idx a -> { access = a; form = linear_form ~num_dims a; idx }) accs
   in
-  (* Pair enumeration avoids the all-pairs scan, which was quadratic in the
-     access count and dominated estimation on wide unrolled bodies (a
-     symbolically expanded gemm band carries ~1000 accesses = ~10^6 ordered
-     pairs, nearly all provably independent). Accesses are grouped by
-     memref (cross-memref pairs can never depend), load-only groups are
-     skipped (a dependence needs a store), and same-coefficient-class
-     accesses are bucketed by residue signature so only pairs that survive
-     the uniform solve's divisibility sieve are enumerated. Cross-class and
-     non-linear pairs keep the exhaustive scan — they are rare, and their
-     non-uniform path is cheap. The dep *set* is unchanged; only its order
-     differs (consumers max-fold or treat it as a set). *)
-  let pair_deps =
-    let gorder = ref [] in
-    let groups : (int, (Mem_access.t * (int array * int) list option) list ref) Hashtbl.t
-        =
-      Hashtbl.create 8
-    in
-    List.iter
-      (fun (((a : Mem_access.t), _) as af) ->
-        let vid = a.Mem_access.memref.Ir.vid in
-        match Hashtbl.find_opt groups vid with
-        | Some r -> r := af :: !r
-        | None ->
-            gorder := vid :: !gorder;
-            Hashtbl.add groups vid (ref [ af ]))
-      forms;
-    let group_deps vid =
-      let members = List.rev !(Hashtbl.find groups vid) in
-      if
-        not
-          (List.exists
-             (fun ((a : Mem_access.t), _) -> a.Mem_access.is_store)
-             members)
-      then []
-      else begin
-        (* Split into same-coefficient classes (first-appearance order) with
-           residue buckets inside each, plus non-linear irregulars. *)
-        let class_tbl = Hashtbl.create 4 in
-        let corder = ref [] and irregular = ref [] in
-        List.iter
-          (fun ((_, fo) as m) ->
-            match fo with
-            | None -> irregular := m :: !irregular
-            | Some rows -> (
-                let ckey = List.map fst rows in
-                let skey = residue_sig rows in
-                let sorder, buckets =
-                  match Hashtbl.find_opt class_tbl ckey with
-                  | Some c -> c
-                  | None ->
-                      let c = (ref [], Hashtbl.create 8) in
-                      Hashtbl.add class_tbl ckey c;
-                      corder := ckey :: !corder;
-                      c
-                in
-                match Hashtbl.find_opt buckets skey with
-                | Some r -> r := m :: !r
+  let gorder = ref [] in
+  let groups : (int, entry list ref) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let vid = e.access.Mem_access.memref.Ir.vid in
+      match Hashtbl.find_opt groups vid with
+      | Some r -> r := e :: !r
+      | None ->
+          gorder := vid :: !gorder;
+          Hashtbl.add groups vid (ref [ e ]))
+    entries;
+  let group_blocks vid =
+    let members = List.rev !(Hashtbl.find groups vid) in
+    if not (List.exists (fun e -> e.access.Mem_access.is_store) members) then []
+    else begin
+      (* Same-coefficient classes (first-appearance order) with residue
+         buckets inside each, plus non-linear irregulars. *)
+      let class_tbl = Hashtbl.create 4 in
+      let corder = ref [] and irregular = ref [] in
+      List.iter
+        (fun e ->
+          match e.form with
+          | None -> irregular := e :: !irregular
+          | Some rows -> (
+              let ckey = List.map fst rows in
+              let skey = residue_sig rows in
+              let sorder, buckets =
+                match Hashtbl.find_opt class_tbl ckey with
+                | Some c -> c
                 | None ->
-                    sorder := skey :: !sorder;
-                    Hashtbl.add buckets skey (ref [ m ])))
-          members;
-        let classes =
-          List.rev_map
-            (fun ckey ->
-              let sorder, buckets = Hashtbl.find class_tbl ckey in
-              List.rev_map (fun skey -> List.rev !(Hashtbl.find buckets skey)) !sorder)
-            !corder
-        in
-        let irregular = List.rev !irregular in
-        let ordered_pairs ms =
-          List.concat_map
-            (fun ((s, _) as src) ->
-              List.filter_map
-                (fun ((d, _) as dst) -> if s == d then None else dep_of src dst)
-                ms)
-            ms
-        in
-        (* same class, same residue bucket: the only uniform pairs that can
-           depend *)
-        let flat = List.mapi (fun i c -> (i, List.concat c)) classes in
-        List.concat_map (List.concat_map ordered_pairs) classes
-        (* different classes: exhaustive ordered pairs (non-uniform path) *)
-        @ List.concat_map
-            (fun (i, ci) ->
-              List.concat_map
-                (fun (j, cj) ->
-                  if i = j then []
-                  else
-                    List.concat_map
-                      (fun src ->
-                        List.filter_map (fun dst -> dep_of src dst) cj)
-                      ci)
-                flat)
-            flat
-        (* non-linear accesses: against every regular member both ways, and
-           among themselves *)
-        @ (let regulars =
-             List.filter (fun (_, fo) -> Option.is_some fo) members
-           in
-           List.concat_map
-             (fun ir ->
-               List.concat_map
-                 (fun reg ->
-                   List.filter_map Fun.id [ dep_of ir reg; dep_of reg ir ])
-                 regulars)
-             irregular
-           @ ordered_pairs irregular)
-      end
-    in
-    List.concat_map group_deps (List.rev !gorder)
+                    let c = (ref [], Hashtbl.create 8) in
+                    Hashtbl.add class_tbl ckey c;
+                    corder := ckey :: !corder;
+                    c
+              in
+              match Hashtbl.find_opt buckets skey with
+              | Some r -> r := e :: !r
+              | None ->
+                  sorder := skey :: !sorder;
+                  Hashtbl.add buckets skey (ref [ e ])))
+        members;
+      let classes =
+        List.rev_map
+          (fun ckey ->
+            let sorder, buckets = Hashtbl.find class_tbl ckey in
+            List.rev_map (fun skey -> List.rev !(Hashtbl.find buckets skey)) !sorder)
+          !corder
+      in
+      let irregular = List.rev !irregular in
+      let flat = List.mapi (fun i c -> (i, List.concat c)) classes in
+      let regulars = List.concat_map snd flat in
+      (* same class, same residue bucket: the only uniform pairs that can
+         depend *)
+      List.concat_map (List.map (fun b -> (b, b))) classes
+      (* different classes (non-uniform path) *)
+      @ List.concat_map
+          (fun (i, ci) ->
+            List.filter_map (fun (j, cj) -> if i = j then None else Some (ci, cj)) flat)
+          flat
+      (* non-linear accesses: against every regular member both ways, and
+         among themselves *)
+      @ [ (irregular, regulars); (regulars, irregular); (irregular, irregular) ]
+    end
   in
-  pair_deps
-  @ List.filter_map
-      (fun (a, fa) ->
-        (* Self-dependence of a store with itself across iterations. *)
-        if a.Mem_access.is_store then
-          match dependence_forms ~num_dims a fa a fa with
-          | Some dirs -> Some { src = a; dst = a; dirs }
-          | None -> None
-        else None)
-      forms
-  |> fun deps ->
-  match ranges with
-  | None -> deps
-  | Some ranges -> List.concat_map (refine_star_dep ~num_dims ~ranges) deps
+  List.concat_map group_blocks (List.rev !gorder)
+  |> List.filter (fun (srcs, dsts) -> srcs <> [] && dsts <> [])
+
+(** All dependences among [accs] (ordered pairs, both directions), over
+    [num_dims] band dims. [ranges] (inclusive iteration-space bounds per
+    dim) enables the guard-aware refinement of all-[Star] dependences into
+    one dependence per feasible carried level ({!carried_levels}); an
+    all-[Star] dependence with no feasible level is dropped. *)
+let all_deps ?ranges ~num_dims accs =
+  let rows = Array.of_list (List.map (fun a -> lazy (fm_rows ~num_dims a)) accs) in
+  let carried = Option.map (fun ranges -> carried ~num_dims ~ranges) ranges in
+  let pair_deps (s : entry) (d : entry) =
+    match dependence_forms ~num_dims s.access s.form d.access d.form with
+    | None -> []
+    | Some dirs -> (
+        let dep = { src = s.access; dst = d.access; dirs } in
+        match carried with
+        | Some carried when List.for_all (( = ) Star) dirs ->
+            let feasible =
+              match
+                carried_levels carried (Lazy.force rows.(s.idx))
+                  (Lazy.force rows.(d.idx))
+              with
+              | Some f -> f
+              | None -> fun _ -> true
+            in
+            List.filter_map
+              (fun level ->
+                if feasible level then Some { dep with dirs = level_dirs ~num_dims level }
+                else None)
+              (List.init num_dims Fun.id)
+        | _ -> [ dep ])
+  in
+  List.concat_map
+    (fun (srcs, dsts) ->
+      List.concat_map (fun s -> List.concat_map (pair_deps s) dsts) srcs)
+    (candidate_blocks ~num_dims accs)
 
 (** Expand [Star] entries into [Lt 1] and [Eq] alternatives, producing the
     set of concrete direction vectors to check for permutation legality.

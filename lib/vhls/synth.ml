@@ -191,8 +191,35 @@ let ii_res ?accs ~scope ~basis (target : Ir.op) =
       max acc ((max_bank + ports - 1) / ports))
     1 by_mem
 
+(* Work counters of {!ii_dep}, summed over every call and domain since
+   program start: access pairs whose dependence it computed, and the
+   rational feasibility checks it ran to refine them. Both are deterministic
+   for a given sequence of calls, so a profile shows a change in work
+   without timing. *)
+let ii_dep_pairs = Atomic.make 0
+let ii_dep_fm_checks = Atomic.make 0
+
+(** [(pairs, feasibility checks)] made by {!ii_dep} so far. *)
+let ii_dep_work () = (Atomic.get ii_dep_pairs, Atomic.get ii_dep_fm_checks)
+
 (* Dependence-constrained minimal II (Eq. 4) for pipelining [target] with the
-   (possibly flattened) enclosing chain [chain]. *)
+   (possibly flattened) enclosing chain [chain]: at least 1, and at least
+   ceil(delay / dist) for every loop-carried dependence, where
+   delay = end(src) - start(dst) in the body's ASAP schedule and dist is the
+   dependence's distance in iterations of the flattened space.
+
+   The max is found by a bounded search, not by materializing every
+   dependence. A distance is never below 1 (strides are products of trip
+   counts, all >= 1 here), so a dependence contributes at most its pair's
+   delay: a pair whose delay does not exceed the running max cannot raise
+   it, whatever its dependences are, and is never analysed. In each block of
+   {!Dependence.candidate_blocks} (blocks in decreasing order of their
+   largest delay) sources are scanned by decreasing end time and
+   destinations by increasing start time, so every scan stops at its first
+   pair within the bound. An all-[Star] pair with iteration domains is
+   refined one carried level at a time in decreasing order of what the
+   level would contribute; the first feasible level is the pair's
+   contribution, and the rest are never checked. *)
 let ii_dep ?accs ~scope ~chain (target : Ir.op) =
   let basis = List.map Affine_d.induction_var chain in
   let num_dims = List.length basis in
@@ -201,100 +228,171 @@ let ii_dep ?accs ~scope ~chain (target : Ir.op) =
     | Some a -> a
     | None -> Mem_access.collect ~scope ~basis target
   in
-  (* iteration-space domains enable the guard-aware FM refinement *)
-  let ranges =
-    let rs = List.map Affine_d.const_trip_count chain in
-    if List.for_all Option.is_some rs then
-      Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) rs))
-    else None
-  in
-  let deps = Dependence.all_deps ?ranges ~num_dims accs in
-  if deps = [] then 1
-  else begin
-    (* strides: iterations of the flattened space per unit step of each dim *)
-    let trips =
-      List.map
-        (fun l -> Option.value ~default:1 (Affine_d.const_trip_count l))
-        chain
-    in
-    let strides = Array.make num_dims 1 in
-    let rec fill i = function
-      | [] -> ()
-      | _ :: rest ->
-          strides.(i) <- List.fold_left ( * ) 1 rest;
-          fill (i + 1) rest
-    in
-    fill 0 trips;
-    (* per-op ASAP start times within an iteration of the target body *)
-    let body =
-      List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target)
-    in
-    let g = Sched.build ~delay_of:(fun o -> Fu.op_delay o.Ir.name) body in
-    let t = Sched.asap g in
-    (* one pass: physical-identity table from access op to its node's time
-       (ops may be nested inside affine.if nodes). Keyed by physical
-       identity behind a (bounded-depth) structural hash: [==] implies
-       structural equality implies equal hashes, so the table is exact while
-       lookups stay O(1) — wide unrolled bodies pair thousands of deps
-       against hundreds of accesses, and the former assoc-list scan made
-       this quadratic. *)
-    let module Op_tbl = Hashtbl.Make (struct
-      type nonrec t = Ir.op
-
-      let equal = ( == )
-      let hash = Hashtbl.hash
-    end) in
-    let times = Op_tbl.create 64 in
-    Array.iteri
-      (fun i nd ->
-        Walk.iter_op
-          (fun x -> if Memref.is_access x then Op_tbl.replace times x t.(i))
-          nd.Sched.op)
-      g.Sched.nodes;
-    let time_of (op : Ir.op) =
-      match Op_tbl.find_opt times op with Some v -> v | None -> 0
-    in
-    let trips_arr = Array.of_list trips in
-    let flat_distance (dep : Dependence.dep) =
-      let entries = List.mapi (fun j d -> (j, d)) dep.Dependence.dirs in
-      (* Star dims with a single iteration cannot carry a dependence. *)
-      let stars =
-        List.filter
-          (fun (j, d) -> d = Dependence.Star && trips_arr.(j) > 1)
-          entries
-      in
-      let forced =
-        List.filter_map
-          (fun (j, d) -> match d with Dependence.Lt k -> Some (j, k) | _ -> None)
-          entries
-      in
-      match (forced, stars) with
-      | [], [] -> None (* loop-independent *)
-      | _, [] ->
-          let dist =
-            List.fold_left (fun acc (j, k) -> acc + (k * strides.(j))) 0 forced
+  let trip_counts = List.map Affine_d.const_trip_count chain in
+  (* A chain with no iterations carries nothing. *)
+  if List.mem (Some 0) trip_counts then 1
+  else
+    match Dependence.candidate_blocks ~num_dims accs with
+    | [] -> 1
+    | blocks ->
+        (* iteration-space domains enable the guard-aware refinement *)
+        let ranges =
+          if List.for_all Option.is_some trip_counts then
+            Some
+              (Array.of_list
+                 (List.map (fun t -> (0, Option.get t - 1)) trip_counts))
+          else None
+        in
+        (* strides: iterations of the flattened space per unit step of each
+           dim *)
+        let trips = Array.of_list (List.map (Option.value ~default:1) trip_counts) in
+        let strides = Array.make num_dims 1 in
+        for j = num_dims - 2 downto 0 do
+          strides.(j) <- strides.(j + 1) * trips.(j + 1)
+        done;
+        let flat_distance dirs =
+          let entries = List.mapi (fun j d -> (j, d)) dirs in
+          (* Star dims with a single iteration cannot carry a dependence. *)
+          let stars =
+            List.filter (fun (j, d) -> d = Dependence.Star && trips.(j) > 1) entries
           in
-          if dist > 0 then Some dist else None
-      | [], _ ->
-          (* free deltas on the star dims: the smallest positive flattened
-             distance is the stride of the innermost star dim *)
-          let j, _ = List.nth stars (List.length stars - 1) in
-          Some strides.(j)
-      | _ -> Some 1 (* forced + free mix: conservative *)
-    in
-    List.fold_left
-      (fun acc (dep : Dependence.dep) ->
-        match flat_distance dep with
-        | None -> acc
-        | Some dist ->
-            let src_op = dep.Dependence.src.Mem_access.op in
-            let dst_op = dep.Dependence.dst.Mem_access.op in
-            let delay =
-              time_of src_op + Fu.op_delay src_op.Ir.name - time_of dst_op
-            in
-            if delay <= 0 then acc else max acc ((delay + dist - 1) / dist))
-      1 deps
-  end
+          let forced =
+            List.filter_map
+              (fun (j, d) -> match d with Dependence.Lt k -> Some (j, k) | _ -> None)
+              entries
+          in
+          match (forced, stars) with
+          | [], [] -> None (* loop-independent *)
+          | _, [] ->
+              let dist =
+                List.fold_left (fun acc (j, k) -> acc + (k * strides.(j))) 0 forced
+              in
+              if dist > 0 then Some dist else None
+          | [], _ ->
+              (* free deltas on the star dims: the smallest positive flattened
+                 distance is the stride of the innermost star dim *)
+              let j, _ = List.nth stars (List.length stars - 1) in
+              Some strides.(j)
+          | _ -> Some 1 (* forced + free mix: conservative *)
+        in
+        (* carried levels of a refined all-Star pair, nearest first *)
+        let levels =
+          List.init num_dims Fun.id
+          |> List.filter_map (fun l ->
+                 Option.map (fun d -> (l, d))
+                   (flat_distance (Dependence.level_dirs ~num_dims l)))
+          |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+        in
+        (* per-op ASAP start times within an iteration of the target body;
+           an access nested in an affine.if takes its node's time *)
+        let body =
+          List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target)
+        in
+        let g = Sched.build ~delay_of:(fun o -> Fu.op_delay o.Ir.name) body in
+        let t = Sched.asap g in
+        (* Keyed by physical identity behind a (bounded-depth) structural
+           hash: [==] implies structural equality implies equal hashes, so
+           the table is exact while lookups stay O(1). *)
+        let module Op_tbl = Hashtbl.Make (struct
+          type nonrec t = Ir.op
+
+          let equal = ( == )
+          let hash = Hashtbl.hash
+        end) in
+        let times = Op_tbl.create 64 in
+        Array.iteri
+          (fun i nd ->
+            Walk.iter_op
+              (fun x -> if Memref.is_access x then Op_tbl.replace times x t.(i))
+              nd.Sched.op)
+          g.Sched.nodes;
+        let n = List.length accs in
+        let start = Array.make n 0 and finish = Array.make n 0 in
+        List.iteri
+          (fun i (a : Mem_access.t) ->
+            let op = a.Mem_access.op in
+            let s = Option.value ~default:0 (Op_tbl.find_opt times op) in
+            start.(i) <- s;
+            finish.(i) <- s + Fu.op_delay op.Ir.name)
+          accs;
+        let rows =
+          Array.of_list (List.map (fun a -> lazy (Dependence.fm_rows ~num_dims a)) accs)
+        in
+        let carried =
+          Option.map (fun ranges -> Dependence.carried ~num_dims ~ranges) ranges
+        in
+        let ii = ref 1 and pairs = ref 0 in
+        let contribution delay dist = (delay + dist - 1) / dist in
+        (* [delay > !ii] holds on entry *)
+        let visit (s : Dependence.entry) (d : Dependence.entry) delay =
+          incr pairs;
+          match Dependence.dependence_forms ~num_dims s.access s.form d.access d.form with
+          | None -> ()
+          | Some dirs -> (
+              match carried with
+              | Some carried when List.for_all (( = ) Dependence.Star) dirs ->
+                  let feasible =
+                    lazy
+                      (Dependence.carried_levels carried (Lazy.force rows.(s.idx))
+                         (Lazy.force rows.(d.idx)))
+                  in
+                  let rec first_feasible = function
+                    | (level, dist) :: rest when contribution delay dist > !ii -> (
+                        match Lazy.force feasible with
+                        | None -> ii := contribution delay dist
+                        | Some f ->
+                            if f level then ii := contribution delay dist
+                            else first_feasible rest)
+                    | _ -> ()
+                  in
+                  first_feasible levels
+              | _ -> (
+                  match flat_distance dirs with
+                  | Some dist -> ii := max !ii (contribution delay dist)
+                  | None -> ()))
+        in
+        let by_start (a : Dependence.entry) (b : Dependence.entry) =
+          compare start.(a.idx) start.(b.idx)
+        in
+        let by_finish_desc (a : Dependence.entry) (b : Dependence.entry) =
+          compare finish.(b.idx) finish.(a.idx)
+        in
+        let bound (srcs, dsts) =
+          List.fold_left (fun m (e : Dependence.entry) -> max m finish.(e.idx)) min_int srcs
+          - List.fold_left (fun m (e : Dependence.entry) -> min m start.(e.idx)) max_int dsts
+        in
+        blocks
+        |> List.map (fun b -> (bound b, b))
+        |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
+        |> List.iter (fun (bound, (srcs, dsts)) ->
+               if bound > !ii then begin
+                 let dsts = List.stable_sort by_start dsts in
+                 (* two loads never depend: a load is paired with stores only *)
+                 let store_dsts =
+                   List.filter (fun (d : Dependence.entry) -> d.access.Mem_access.is_store) dsts
+                 in
+                 let rec scan_dsts (s : Dependence.entry) = function
+                   | (d : Dependence.entry) :: rest
+                     when finish.(s.idx) - start.(d.idx) > !ii ->
+                       visit s d (finish.(s.idx) - start.(d.idx));
+                       scan_dsts s rest
+                   | _ -> ()
+                 in
+                 let rec scan_srcs = function
+                   | (s : Dependence.entry) :: rest
+                     when finish.(s.idx) - start.((List.hd dsts).idx) > !ii ->
+                       scan_dsts s (if s.access.Mem_access.is_store then dsts else store_dsts);
+                       scan_srcs rest
+                   | _ -> ()
+                 in
+                 scan_srcs (List.stable_sort by_finish_desc srcs)
+               end);
+        ignore (Atomic.fetch_and_add ii_dep_pairs !pairs);
+        Option.iter
+          (fun (c : Dependence.carried) ->
+            ignore (Atomic.fetch_and_add ii_dep_fm_checks c.Dependence.checks))
+          carried;
+        !ii
 
 (* FU usage of a pipelined body: units shared across II cycles. *)
 let pipelined_fu_usage body ~ii =

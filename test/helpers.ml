@@ -144,3 +144,93 @@ let check_scope_env ~msg m =
         f)
     (Ir.module_funcs m);
   !checked
+
+(* Exhaustive reference for [Vhls.Synth.ii_dep]: materialize every
+   (guard-refined) dependence with [Analysis.Dependence.all_deps] and fold
+   ceil(delay / dist) over all of them, with no bound and no early exit. *)
+let naive_ii_dep ~scope ~chain (target : Ir.op) =
+  let module D = Analysis.Dependence in
+  let basis = List.map Dialects.Affine_d.induction_var chain in
+  let num_dims = List.length basis in
+  let accs = Analysis.Mem_access.collect ~scope ~basis target in
+  let trip_counts = List.map Dialects.Affine_d.const_trip_count chain in
+  (* a chain with no iterations carries nothing *)
+  if List.mem (Some 0) trip_counts then 1
+  else
+    let ranges =
+      if List.for_all Option.is_some trip_counts then
+        Some (Array.of_list (List.map (fun t -> (0, Option.get t - 1)) trip_counts))
+      else None
+    in
+    let deps = D.all_deps ?ranges ~num_dims accs in
+    let trips = Array.of_list (List.map (Option.value ~default:1) trip_counts) in
+    let stride j =
+      let s = ref 1 in
+      for i = j + 1 to num_dims - 1 do
+        s := !s * trips.(i)
+      done;
+      !s
+    in
+    let body =
+      List.filter (fun x -> x.Ir.name <> "affine.yield") (Ir.body_ops target)
+    in
+    let g = Vhls.Sched.build ~delay_of:(fun o -> Vhls.Fu.op_delay o.Ir.name) body in
+    let t = Vhls.Sched.asap g in
+    let module Op_tbl = Hashtbl.Make (struct
+      type nonrec t = Ir.op
+
+      let equal = ( == )
+      let hash = Hashtbl.hash
+    end) in
+    let times = Op_tbl.create 64 in
+    Array.iteri
+      (fun i nd -> Walk.iter_op (fun x -> Op_tbl.replace times x t.(i)) nd.Vhls.Sched.op)
+      g.Vhls.Sched.nodes;
+    let time_of op = Option.value ~default:0 (Op_tbl.find_opt times op) in
+    let flat_distance (dep : D.dep) =
+      let entries = List.mapi (fun j d -> (j, d)) dep.D.dirs in
+      let stars = List.filter (fun (j, d) -> d = D.Star && trips.(j) > 1) entries in
+      let forced =
+        List.filter_map (fun (j, d) -> match d with D.Lt k -> Some (j, k) | _ -> None) entries
+      in
+      match (forced, stars) with
+      | [], [] -> None
+      | _, [] ->
+          let dist = List.fold_left (fun acc (j, k) -> acc + (k * stride j)) 0 forced in
+          if dist > 0 then Some dist else None
+      | [], _ -> Some (stride (fst (List.nth stars (List.length stars - 1))))
+      | _ -> Some 1
+    in
+    List.fold_left
+      (fun acc (dep : D.dep) ->
+        match flat_distance dep with
+        | None -> acc
+        | Some dist ->
+            let src = dep.D.src.Analysis.Mem_access.op in
+            let dst = dep.D.dst.Analysis.Mem_access.op in
+            let delay = time_of src + Vhls.Fu.op_delay src.Ir.name - time_of dst in
+            if delay <= 0 then acc else max acc ((delay + dist - 1) / dist))
+      1 deps
+
+(* Compare [Vhls.Synth.ii_dep] with {!naive_ii_dep} on every pipelined chain
+   of every function of [m] (suffix chains of a flattened band included);
+   returns the number of chains checked. *)
+let check_ii_dep ~msg m =
+  let checked = ref 0 in
+  List.iter
+    (fun f ->
+      let scope = Analysis.Loop_utils.scope_of f in
+      Walk.iter_op
+        (fun (l : Ir.op) ->
+          match Vhls.Synth.pipelined_chain l with
+          | Some (chain, target) ->
+              incr checked;
+              let got = Vhls.Synth.ii_dep ~scope ~chain target in
+              let want = naive_ii_dep ~scope ~chain target in
+              if got <> want then
+                Alcotest.failf "%s: ii_dep %d, exhaustive fold %d (chain of %d loops)"
+                  msg got want (List.length chain)
+          | None -> ())
+        f)
+    (Ir.module_funcs m);
+  !checked

@@ -126,6 +126,146 @@ let test_ii_dep_recurrence () =
   (* recurrence: load acc (2) + addf (5) + store (1) = 8 at distance 1 *)
   Alcotest.(check int) "II_dep equals recurrence delay" 8 ii
 
+(* A flattened chain whose pipelined inner loop has no iterations carries
+   nothing: II_dep is 1, and neither the tool nor the estimator divides by
+   the zero stride the empty inner loop gives the outer dim. *)
+let test_ii_dep_zero_trip_chain () =
+  let ctx = Ir.Ctx.create () in
+  let f =
+    Func.func ctx ~name:"z" ~inputs:[ Ty.memref [ 4 ] Ty.F32 ] ~outputs:[] (fun args ->
+        let a = List.hd args in
+        let inner =
+          Affine_d.for_const ctx ~lb:0 ~ub:0 (fun j ->
+              let l1, v1 = Affine_d.load_id ctx a [ j ] in
+              let l2, v2 = Affine_d.load_id ctx a [ j ] in
+              let add, sum = Arith.addf ctx v1 v2 in
+              [ l1; l2; add; Affine_d.store_id ctx sum a [ j ]; Affine_d.yield ])
+        in
+        let inner =
+          Hlscpp.set_loop_directive inner
+            { Hlscpp.default_loop_directive with Hlscpp.loop_pipeline = true }
+        in
+        let outer = Affine_d.for_const ctx ~lb:0 ~ub:4 (fun _ -> [ inner; Affine_d.yield ]) in
+        let outer =
+          Hlscpp.set_loop_directive outer
+            { Hlscpp.default_loop_directive with Hlscpp.flatten = true }
+        in
+        [ outer; Func.return_ [] ])
+  in
+  let m = Ir.module_ [ f ] in
+  let func = Ir.find_func_exn m "z" in
+  let outer = List.hd (Analysis.Loop_utils.top_loops func) in
+  let scope = Analysis.Loop_utils.scope_of func in
+  let chain, target = Option.get (Vhls.Synth.pipelined_chain outer) in
+  Alcotest.(check int) "flattened chain" 2 (List.length chain);
+  Alcotest.(check int) "II_dep of an empty chain" 1 (Vhls.Synth.ii_dep ~scope ~chain target);
+  ignore (Vhls.Synth.synthesize m ~top:"z");
+  ignore (Estimator.estimate m ~top:"z")
+
+(* The pair with the largest delay is ruled out by an affine.if guard, as in
+   trmm: B[i] is stored (at the end of a long chain) only for i >= 8, while
+   the load of B[15 - i] in a later iteration i' > i only reaches B[i] for
+   i <= 7. The bounded search must go past that pair to the 8-cycle
+   accumulator recurrence; without the guard the pair carries 17 cycles at
+   distance 1. *)
+let guarded_recurrence_module ~guard =
+  let ctx = Ir.Ctx.create () in
+  let f =
+    Func.func ctx ~name:"g" ~inputs:[ Ty.memref [ 16 ] Ty.F32; Ty.memref [ 1 ] Ty.F32 ]
+      ~outputs:[] (fun args ->
+        let b = List.nth args 0 and acc = List.nth args 1 in
+        let loop =
+          Affine_d.for_const ctx ~lb:0 ~ub:16 (fun iv ->
+              let open Affine in
+              let lb, l =
+                Affine_d.load ctx b
+                  ~map:(Map.of_expr ~num_dims:1 (Expr.sub (Expr.const 15) (Expr.dim 0)))
+                  [ iv ]
+              in
+              let m1, x = Arith.mulf ctx l l in
+              let a1, y = Arith.addf ctx x x in
+              let a2, z = Arith.addf ctx y y in
+              let c0op, c0 = Arith.constant_i ctx 0 in
+              let la, av = Affine_d.load_id ctx acc [ c0 ] in
+              let a3, sum = Arith.addf ctx av l in
+              let sb = Affine_d.store_id ctx z b [ iv ] in
+              let guarded =
+                if guard then
+                  Affine_d.if_
+                    ~set:
+                      (Set_.make ~num_dims:1 ~num_syms:0
+                         [ Set_.ge (Expr.dim 0) (Expr.const 8) ])
+                    ~operands:[ iv ] ~then_:[ sb; Affine_d.yield ] ~else_:[ Affine_d.yield ]
+                else sb
+              in
+              [ lb; m1; a1; a2; c0op; la; a3; Affine_d.store_id ctx sum acc [ c0 ]; guarded;
+                Affine_d.yield ])
+        in
+        let loop =
+          Hlscpp.set_loop_directive loop
+            { Hlscpp.default_loop_directive with Hlscpp.loop_pipeline = true }
+        in
+        [ loop; Func.return_ [] ])
+  in
+  Ir.module_ [ f ]
+
+let test_ii_dep_guard_infeasible_max () =
+  let ii_of ~guard =
+    let m = guarded_recurrence_module ~guard in
+    let func = Ir.find_func_exn m "g" in
+    let loop = List.hd (Analysis.Loop_utils.top_loops func) in
+    let scope = Analysis.Loop_utils.scope_of func in
+    let got = Vhls.Synth.ii_dep ~scope ~chain:[ loop ] loop in
+    Alcotest.(check int) "agrees with the exhaustive fold"
+      (naive_ii_dep ~scope ~chain:[ loop ] loop)
+      got;
+    got
+  in
+  Alcotest.(check int) "unguarded: the 17-cycle pair" 17 (ii_of ~guard:false);
+  Alcotest.(check int) "guarded: the accumulator recurrence" 8 (ii_of ~guard:true)
+
+(* The bounded II_dep search equals the exhaustive fold on every pipelined
+   chain of every design point a DSE evaluates on the six PolyBench
+   kernels (small size, plus trmm at 16 where guards rule out most pairs),
+   and on fixed-seed fuzz programs after every stage of their pass
+   pipelines. Points differing only in target II share one module (II_dep
+   does not read the target II), so each module is checked once. *)
+let test_ii_dep_matches_exhaustive () =
+  let checked = ref 0 in
+  let check ~msg m = checked := !checked + check_ii_dep ~msg m in
+  List.iter
+    (fun (kernel, n, samples, iterations) ->
+      let ctx = Ir.Ctx.create () in
+      let top = Models.Polybench.name kernel in
+      let m = Pipeline.compile_c ctx (Models.Polybench.source kernel ~n) in
+      let cache = Eval_cache.create () in
+      ignore (Dse.run ~samples ~iterations ~cache ctx m ~top ~platform:P.xc7z020);
+      Eval_cache.bindings cache
+      |> List.filter_map (fun (_, ev) -> Option.map (fun (e : Dse.evaluated) -> e.Dse.point) ev)
+      |> List.map (fun (pt : Dse.point) -> { pt with Dse.target_ii = 1 })
+      |> List.sort_uniq compare
+      |> List.iter (fun pt ->
+             match Dse.apply_point ctx m ~top pt with
+             | m' -> check ~msg:(Fmt.str "%s-%d %a" top n Dse.pp_point pt) m'
+             | exception Dse.Inapplicable -> ()))
+    (List.map (fun k -> (k, 8, 8, 12)) Models.Polybench.all
+    @ [ (Models.Polybench.Trmm, 16, 8, 12) ]);
+  for seed = 1 to 40 do
+    let p = Fuzz.Gen.program ~seed () in
+    let msg = Printf.sprintf "fuzz seed %d" seed in
+    check ~msg p.Fuzz.Gen.module_;
+    ignore
+      (List.fold_left
+         (fun m name ->
+           let m' =
+             Pass.run_one (Option.get (Transform_lib.find_pass name)) (Ir.Ctx.of_op m) m
+           in
+           check ~msg:(msg ^ " after " ^ name) m';
+           m')
+         p.Fuzz.Gen.module_ (Fuzz.Gen.config p).Fuzz.Gen.pipeline)
+  done;
+  Alcotest.(check bool) "pipelined chains checked" true (!checked > 0)
+
 (* II_res: more same-bank accesses per iteration than ports *)
 let test_ii_res_port_limit () =
   let ctx = Ir.Ctx.create () in
@@ -271,6 +411,11 @@ let suite =
       Alcotest.test_case "pipelined loop formula" `Quick test_pipelined_loop_latency;
       Alcotest.test_case "target II respected" `Quick test_pipelined_target_ii_respected;
       Alcotest.test_case "II_dep: recurrence (Eq.4)" `Quick test_ii_dep_recurrence;
+      Alcotest.test_case "II_dep: zero-trip chain" `Quick test_ii_dep_zero_trip_chain;
+      Alcotest.test_case "II_dep: guard-infeasible largest delay" `Quick
+        test_ii_dep_guard_infeasible_max;
+      Alcotest.test_case "II_dep: bounded search = exhaustive fold" `Slow
+        test_ii_dep_matches_exhaustive;
       Alcotest.test_case "II_res: port limit (Eq.3)" `Quick test_ii_res_port_limit;
       Alcotest.test_case "memory usage" `Quick test_memory_usage;
       Alcotest.test_case "partitioned memory usage" `Quick test_partitioned_memory_usage;

@@ -29,6 +29,7 @@ open Dialects
 open Scalehls
 
 module P = Vhls.Platform
+module Json = Obs.Json
 
 let line () = Fmt.pr "%s@." (String.make 100 '-')
 
@@ -329,9 +330,9 @@ let dse_bench ?(jobs = 0) ~size ~budget () =
   in
   let cores = Domain.recommended_domain_count () in
   let r1, t1 = arm ~jobs:1 () in
-  (* On a single-core host the "parallel" arm is the sequential engine plus
-     domain overhead: its speedup is meaningless noise (<1x), so skip it and
-     mark the record instead of publishing a misleading slowdown. *)
+  (* On a single-core host a parallel arm is the sequential engine plus
+     domain overhead: its speedup is meaningless noise (<1x), so skip the
+     sweep and record [null] instead of publishing a misleading slowdown. *)
   let parallel_skipped = (if jobs = 0 then cores else jobs) <= 1 in
   (* Scaling sweep: with no --jobs pin, measure every worker count from 2 up
      to the machine's core count; a pinned --jobs N measures that single arm.
@@ -462,154 +463,109 @@ let dse_bench ?(jobs = 0) ~size ~budget () =
   let target_hv = 0.95 *. hv_e in
   let e95_e = evals_to target_hv traj_e and e95_s = evals_to target_hv traj_s in
   let hv_ratio = hv_s /. Float.max 1e-9 hv_e in
+  (* infinity (never reached 95%) prints as null in the JSON record *)
   let evals_ratio =
     match e95_s with
     | Some n -> float_of_int n /. float_of_int (max 1 re.Dse.explored)
     | None -> infinity
   in
-  let pp_opt = function Some n -> string_of_int n | None -> "null" in
-  Fmt.pr "strategy  : exhaustive %d evals (hv %.1f, 95%% at %s evals) | surrogate %d evals (hv %.1f, 95%% at %s evals)@."
-    re.Dse.explored hv_e (pp_opt e95_e) rs.Dse.explored hv_s (pp_opt e95_s);
+  let evals_json = Option.fold ~none:Json.Null ~some:(fun n -> Json.Int n) in
+  Fmt.pr "strategy  : exhaustive %d evals (hv %.1f, 95%% at %a evals) | surrogate %d evals (hv %.1f, 95%% at %a evals)@."
+    re.Dse.explored hv_e Json.pp (evals_json e95_e) rs.Dse.explored hv_s
+    Json.pp (evals_json e95_s);
   Fmt.pr "efficiency: surrogate reaches 95%% of exhaustive hypervolume with %.0f%% of its exact evaluations (hv ratio %.3f)@."
     (100. *. evals_ratio) hv_ratio;
-  let traj_json traj =
-    "["
-    ^ String.concat ", "
-        (List.map (fun (e, hv) -> Printf.sprintf "[%d, %.3f]" e hv) traj)
-    ^ "]"
+  let i n = Json.Int n and f x = Json.Float x and b v = Json.Bool v in
+  let run_json ~jobs r t =
+    [ ("jobs", i jobs); ("wall_s", f t); ("points", i r.Dse.explored); ("points_per_sec", f (pps r t)) ]
   in
-  let counters_json cs =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) cs)
-    ^ " }"
-  in
-  let strategy_efficiency_json =
-    Printf.sprintf
-      {|{
-    "hv_ref_latency": %d,
-    "hv_ref_area": %d,
-    "exhaustive": { "evals": %d, "final_hv": %.3f, "evals_to_95pct_hv": %s,
-                    "trajectory": %s },
-    "surrogate": { "evals": %d, "final_hv": %.3f, "evals_to_95pct_hv": %s,
-                   "trajectory": %s,
-                   "counters": %s },
-    "hv_ratio": %.4f,
-    "evals_ratio": %s
-  }|}
-      ref_latency ref_area re.Dse.explored hv_e (pp_opt e95_e)
-      (traj_json traj_e) rs.Dse.explored hv_s (pp_opt e95_s) (traj_json traj_s)
-      (counters_json rs.Dse.stats.Dse.strategy_counters)
-      hv_ratio
-      (if Float.is_finite evals_ratio then Printf.sprintf "%.4f" evals_ratio
-       else "null")
-  in
-  (* The parallel block is [null] when the arm was skipped (single core):
-     publishing a copy of the sequential numbers would let downstream gates
-     silently compare the kernel against itself. *)
-  let parallel_json =
-    if parallel_skipped then ("null", "null")
-    else
-      ( Printf.sprintf
-          {|{ "jobs": %d, "wall_s": %.3f, "points": %d, "points_per_sec": %.2f }|}
-          jobs_eff tn rn.Dse.explored (pps rn tn),
-        Printf.sprintf "%.3f" (t1 /. Float.max 1e-9 tn) )
-  in
-  (* The full measured curve, -j 1 included, so downstream tooling can plot
-     scaling without re-deriving it from the headline fields. *)
-  let scaling_json =
-    if parallel_skipped then "null"
-    else
-      "[ "
-      ^ String.concat ",\n               "
-          (List.map
-             (fun (j, r, t) ->
-               Printf.sprintf
-                 {|{ "jobs": %d, "wall_s": %.3f, "points": %d, "points_per_sec": %.2f, "speedup": %.3f, "frontier_match": %b }|}
-                 j t r.Dse.explored (pps r t)
-                 (t1 /. Float.max 1e-9 t)
-                 (arm_match r))
-             ((1, r1, t1) :: scaling))
-      ^ " ]"
-  in
-  let profile_json =
-    String.concat ", "
-      (List.map
-         (fun (stage, secs) -> Printf.sprintf "\"%s\": %.3f" stage secs)
-         r1.Dse.stats.Dse.stage_seconds)
+  let strategy_json r e95 traj extra =
+    Json.Obj
+      ([
+         ("evals", i r.Dse.explored); ("final_hv", f (final_hv traj));
+         ("evals_to_95pct_hv", evals_json e95);
+         ("trajectory", Json.List (List.map (fun (e, hv) -> Json.List [ i e; f hv ]) traj));
+       ]
+      @ extra)
   in
   (* Per-point latency quantiles from the "dse" registry histogram — the
      same series the Prometheus exposition serves, accumulated over every
      arm above. Informational (not CI-gated): quantiles shift with machine
      load; the throughput gate already covers regressions. *)
-  let observability_json =
-    let h = Obs.Metrics.histogram (Obs.Metrics.registry "dse") "evaluate_seconds" in
-    Printf.sprintf
-      {|{ "evaluate_count": %d, "evaluate_p50_s": %.6f, "evaluate_p99_s": %.6f }|}
-      (Obs.Metrics.histogram_count h)
-      (Obs.Metrics.quantile h 0.5)
-      (Obs.Metrics.quantile h 0.99)
+  let h = Obs.Metrics.histogram (Obs.Metrics.registry "dse") "evaluate_seconds" in
+  let st = rn.Dse.stats and st1 = r1.Dse.stats in
+  let bench =
+    Json.Obj
+      [
+        ("kernel", Json.String (Models.Polybench.name kernel)); ("size", i size);
+        ("samples", i samples); ("iterations", i iterations); ("seed", i 42);
+        ("cores", i cores); ("sequential", Json.Obj (run_json ~jobs:1 r1 t1));
+        (* The full measured curve, -j 1 included; [null] when the sweep was
+           skipped (single core): a copy of the sequential numbers would let
+           downstream gates silently compare the kernel against itself. *)
+        ( "scaling",
+          if parallel_skipped then Json.Null
+          else
+            Json.List
+              (List.map
+                 (fun (j, r, t) ->
+                   Json.Obj
+                     (run_json ~jobs:j r t
+                     @ [ ("speedup", f (t1 /. Float.max 1e-9 t)); ("frontier_match", b (arm_match r)) ]))
+                 ((1, r1, t1) :: scaling)) );
+        ("frontier_match", b frontier_match);
+        ( "cache",
+          Json.Obj
+            [
+              ("pre_hits", i st.Dse.pre_hits); ("pre_misses", i st.Dse.pre_misses);
+              ("eval_hits", i st.Dse.cache_hits); ("eval_misses", i st.Dse.cache_misses);
+              ("eval_hit_rate", f (Dse.hit_rate st.Dse.cache_hits st.Dse.cache_misses));
+              ("est_memo_hits", i st.Dse.est_memo_hits); ("est_memo_misses", i st.Dse.est_memo_misses);
+              ("est_memo_hit_rate", f (Dse.hit_rate st.Dse.est_memo_hits st.Dse.est_memo_misses));
+            ] );
+        ( "symbolic_vs_materialized",
+          Json.Obj
+            [
+              ("symbolic_wall_s", f t1); ("materialized_wall_s", f tm);
+              ("speedup", f (tm /. Float.max 1e-9 t1));
+              ("symbolic_frontier_match", b symbolic_frontier_match);
+              ("symbolic_points", i st1.Dse.symbolic_points);
+              ("fallback_points", i st1.Dse.fallback_points);
+              ("est_memo_hits", i st1.Dse.est_memo_hits);
+            ] );
+        ( "service_warm_vs_cold",
+          Json.Obj
+            [
+              ("cold_wall_s", f tc); ("warm_wall_s", f tw); ("speedup", f (tc /. Float.max 1e-9 tw));
+              ("cold_points_per_sec", f (pps rc tc)); ("warm_points_per_sec", f (pps rw tw));
+              ("warm_eval_hits", i rw.Dse.stats.Dse.cache_hits);
+              ("warm_eval_misses", i rw.Dse.stats.Dse.cache_misses);
+              ("warm_hit_rate", f warm_hit_rate); ("warm_frontier_match", b warm_frontier_match);
+            ] );
+        ( "strategy_efficiency",
+          Json.Obj
+            [
+              ("hv_ref_latency", i ref_latency); ("hv_ref_area", i ref_area);
+              ("exhaustive", strategy_json re e95_e traj_e []);
+              ( "surrogate",
+                strategy_json rs e95_s traj_s
+                  [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, i v))
+                                             rs.Dse.stats.Dse.strategy_counters)) ] );
+              ("hv_ratio", f hv_ratio); ("evals_ratio", f evals_ratio);
+            ] );
+        ( "observability",
+          Json.Obj
+            [
+              ("evaluate_count", i (Obs.Metrics.histogram_count h));
+              ("evaluate_p50_s", f (Obs.Metrics.quantile h 0.5));
+              ("evaluate_p99_s", f (Obs.Metrics.quantile h 0.99));
+            ] );
+        ("profile_s", Json.Obj (List.map (fun (stage, secs) -> (stage, f secs)) st1.Dse.stage_seconds));
+      ]
   in
   let oc = open_out "BENCH_dse.json" in
-  Printf.fprintf oc
-    {|{
-  "kernel": "%s",
-  "size": %d,
-  "samples": %d,
-  "iterations": %d,
-  "seed": 42,
-  "cores": %d,
-  "sequential": { "jobs": 1, "wall_s": %.3f, "points": %d, "points_per_sec": %.2f },
-  "parallel": %s,
-  "parallel_skipped": %b,
-  "speedup": %s,
-  "scaling": %s,
-  "frontier_match": %b,
-  "cache": { "pre_hits": %d, "pre_misses": %d, "eval_hits": %d, "eval_misses": %d,
-             "eval_hit_rate": %.4f, "est_memo_hits": %d, "est_memo_misses": %d,
-             "est_memo_hit_rate": %.4f },
-  "symbolic_vs_materialized": {
-    "symbolic_wall_s": %.3f,
-    "materialized_wall_s": %.3f,
-    "speedup": %.3f,
-    "symbolic_frontier_match": %b,
-    "symbolic_points": %d,
-    "fallback_points": %d,
-    "est_memo_hits": %d
-  },
-  "service_warm_vs_cold": {
-    "cold_wall_s": %.3f,
-    "warm_wall_s": %.3f,
-    "speedup": %.3f,
-    "cold_points_per_sec": %.2f,
-    "warm_points_per_sec": %.2f,
-    "warm_eval_hits": %d,
-    "warm_eval_misses": %d,
-    "warm_hit_rate": %.4f,
-    "warm_frontier_match": %b
-  },
-  "strategy_efficiency": %s,
-  "observability": %s,
-  "profile_s": { %s }
-}
-|}
-    (Models.Polybench.name kernel)
-    size samples iterations cores t1 r1.Dse.explored (pps r1 t1)
-    (fst parallel_json) parallel_skipped (snd parallel_json) scaling_json
-    frontier_match
-    rn.Dse.stats.Dse.pre_hits rn.Dse.stats.Dse.pre_misses
-    rn.Dse.stats.Dse.cache_hits rn.Dse.stats.Dse.cache_misses
-    (Dse.hit_rate rn.Dse.stats.Dse.cache_hits rn.Dse.stats.Dse.cache_misses)
-    rn.Dse.stats.Dse.est_memo_hits rn.Dse.stats.Dse.est_memo_misses
-    (Dse.hit_rate rn.Dse.stats.Dse.est_memo_hits rn.Dse.stats.Dse.est_memo_misses)
-    t1 tm
-    (tm /. Float.max 1e-9 t1)
-    symbolic_frontier_match r1.Dse.stats.Dse.symbolic_points
-    r1.Dse.stats.Dse.fallback_points r1.Dse.stats.Dse.est_memo_hits tc tw
-    (tc /. Float.max 1e-9 tw)
-    (pps rc tc) (pps rw tw) rw.Dse.stats.Dse.cache_hits
-    rw.Dse.stats.Dse.cache_misses warm_hit_rate warm_frontier_match
-    strategy_efficiency_json observability_json profile_json;
+  output_string oc (Json.to_string bench);
+  output_char oc '\n';
   close_out oc;
   Fmt.pr "@.wrote BENCH_dse.json@."
 

@@ -12,14 +12,15 @@
     selected Pareto point; (4) repeat (2)–(3) until no eligible neighbor
     exists or the evaluation budget is exhausted.
 
-    The engine is batch-synchronous and (optionally) parallel: the seed
-    points and each round's unexplored neighbors form a batch that a
-    fixed-size domain pool ({!Parpool}) evaluates concurrently, while all
-    search decisions — RNG draws, Pareto maintenance, batch construction —
-    stay on the coordinator and results merge in submission order. Every
-    point is evaluated re-entrantly against a fresh [Ir.Ctx] derived from the
-    memoized (lp, rvb)-preprocessed module, so the result of a run depends
-    only on the seed: [~jobs:n] reproduces [~jobs:1] bit-for-bit. *)
+    The engine is asynchronous and (optionally) parallel: the coordinator
+    keeps a bounded window of point evaluations in flight on a fixed-size
+    domain pool ({!Parpool}), which completes them out of order, and a
+    reorder buffer commits the results strictly in admission order. All
+    search decisions — RNG draws, proposals, Pareto maintenance — stay on
+    the coordinator. Every point is evaluated re-entrantly against a fresh
+    [Ir.Ctx] derived from the memoized (lp, rvb)-preprocessed module, so the
+    result of a run depends only on the seed and the window: [~jobs:n]
+    reproduces [~jobs:1] bit-for-bit. *)
 
 open Mir
 open Dialects
@@ -1031,25 +1032,27 @@ type rob_entry =
     if freshly evaluated, in proposal order, so the frontier and explored
     count are bit-identical to a cold run; [?memos] shares the estimator's
     band memo the same way. [?pool] runs evaluations on an external worker
-    pool (not shut down here); [?batch_wrap] is called around every single
-    point evaluation, on the worker that runs it, letting a scheduler
-    account concurrent searches at single-eval granularity (fairness itself
-    lives in the pool's round-robin across streams); [?queue_wait] receives
-    each fresh evaluation's pool-queue latency in seconds, also on the
-    worker — both must be thread-safe when [jobs > 1]. [?on_frontier] fires
-    with the current frontier and explored count after every traversal
-    round (and once at the end) — the streaming hook.
+    pool (not shut down here); a service reads its per-evaluation accounting
+    (queue wait, running and started counts) from that pool. [?on_frontier]
+    fires with the current frontier and explored count after every
+    traversal round (and once at the end) — the streaming hook.
+
+    [?batch_wrap] is called around every single point evaluation, on the
+    worker that runs it (so it must be thread-safe when [jobs > 1]). It is
+    the test seam of the adversarial-latency and concurrent-search tests,
+    which inject per-point delays and count fresh evaluations through it;
+    no production caller passes it.
 
     [?job] is the run's observability identity: it labels every [dse.*]
     trace span ([args.job]) and event-log line, so concurrent searches
     sharing one process (a serve daemon) stay separable in a single Chrome
     trace and event file. Defaults to [top] — meaningful for one-shot CLI
     runs; services pass their own job id. Purely observational. *)
-let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
-    ?(max_ii = 8) ?(heuristic_seeds = true) ?(jobs = 1) ?(symbolic = true)
+let run ?(samples = 24) ?(iterations = 60) ?(seed = 42)
+    ?(heuristic_seeds = true) ?(jobs = 1) ?(symbolic = true)
     ?(window = default_window) ?(strategy = exhaustive) ?cache:cache_opt
-    ?memos:memos_opt ?pool:pool_opt ?(batch_wrap = fun f -> f ()) ?queue_wait
-    ?on_frontier ?job ctx m ~top ~platform : result =
+    ?memos:memos_opt ?pool:pool_opt ?(batch_wrap = fun f -> f ()) ?on_frontier
+    ?job ctx m ~top ~platform : result =
   let frontier_track =
     (* Separate Chrome counter tracks per explicit job; the default track
        name is stable for single-search runs (and their tests). *)
@@ -1062,7 +1065,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
   in
   let t_start = Obs.Clock.now_ns () in
   let rng = Random.State.make [| seed |] in
-  let s = build_space ~max_unroll ~max_ii ctx m ~top in
+  let s = build_space ctx m ~top in
   let instr = instr_create () in
   (* Memoization. The preprocessing cache holds the (lp, rvb)-preprocessed
      module (4 combos at most; previously recomputed for every point). The
@@ -1148,7 +1151,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
         let t = tally_zero () in
         let r, secs =
           Obs.Clock.time_s (fun () ->
-              evaluate ~max_unroll ~symbolic ~tally:t ~memos ~tf_memo ~tf_key
+              evaluate ~symbolic ~tally:t ~memos ~tf_memo ~tf_key
                 ~pre (Ir.Ctx.of_op pre) m ~top ~platform pt)
         in
         instr_merge instr t;
@@ -1251,7 +1254,7 @@ let run ?(samples = 24) ?(iterations = 60) ?(seed = 42) ?(max_unroll = 256)
      available. A result that finishes early parks in the stream until its
      turn, so the state at every propose/observe is a pure function of
      (seed, window), independent of [jobs] and worker timing. *)
-  let stream = Parpool.stream ?on_wait:queue_wait pool in
+  let stream = Parpool.stream pool in
   let dse_reg = Obs.Metrics.registry "dse" in
   let g_inflight = Obs.Metrics.gauge dse_reg "window.in_flight" in
   let g_commitq = Obs.Metrics.gauge dse_reg "window.commit_queue" in

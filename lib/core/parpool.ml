@@ -14,8 +14,11 @@
     streams (e.g. [k] searches sharing a daemon's pool) interleave fairly at
     single-task granularity — a stream with 100 queued tasks cannot starve a
     stream with 2. Per-task queue latency (enqueue to dequeue) is reported
-    through the stream's [on_wait] callback, which runs on the worker that
-    dequeued the task and must therefore be thread-safe.
+    through the pool's [on_wait] callback, which runs on the worker that
+    dequeued the task and must therefore be thread-safe. The pool also
+    counts, across all streams, the tasks running right now ({!running})
+    and the tasks started so far ({!started}) — a daemon sharing one pool
+    among many searches reads its evaluation accounting from here.
 
     A pool created with [jobs <= 1] spawns no domains and runs every
     submitted task inline on the caller at {!submit} time, which makes the
@@ -36,9 +39,7 @@
    the queued closures. *)
 type sq = {
   sq_tasks : (int64 * (unit -> unit)) Queue.t;  (** (enqueue time, run) *)
-  sq_on_wait : (float -> unit) option;
   mutable sq_queued : bool;  (** currently registered in the rotation *)
-  mutable sq_running : int;  (** dequeued by a worker, not yet completed *)
 }
 
 type t = {
@@ -51,6 +52,9 @@ type t = {
       (** round-robin rotation; invariant: every listed stream has a
           non-empty task queue *)
   mutable stopping : bool;
+  mutable running : int;  (** tasks started, not yet completed *)
+  mutable started : int;  (** tasks started over the pool's lifetime *)
+  on_wait : (float -> unit) option;  (** every task's queue latency, s *)
   mutable workers : unit Domain.t array;
   busy_ns : int64 Atomic.t array;  (** per-worker cumulative task time *)
   created_ns : int64;
@@ -66,6 +70,11 @@ let add_busy pool slot ns =
   in
   go ()
 
+(* Count one task as started. Caller holds the lock. *)
+let start pool =
+  pool.running <- pool.running + 1;
+  pool.started <- pool.started + 1
+
 (* Pop the next task in stream rotation order. Caller holds the lock. The
    served stream moves to the back of the rotation (or leaves it when
    emptied), so successive dequeues visit streams fairly regardless of how
@@ -75,13 +84,13 @@ let dequeue pool =
   | [] -> None
   | sq :: rest ->
       let enq_ns, task = Queue.pop sq.sq_tasks in
-      sq.sq_running <- sq.sq_running + 1;
+      start pool;
       if Queue.is_empty sq.sq_tasks then begin
         sq.sq_queued <- false;
         pool.rotation <- rest
       end
       else pool.rotation <- rest @ [ sq ];
-      Some (enq_ns, sq, task)
+      Some (enq_ns, task)
 
 let rec worker_loop pool slot =
   Mutex.lock pool.lock;
@@ -90,10 +99,10 @@ let rec worker_loop pool slot =
   done;
   match dequeue pool with
   | None -> Mutex.unlock pool.lock (* stopping: exit *)
-  | Some (enq_ns, sq, task) ->
+  | Some (enq_ns, task) ->
       Mutex.unlock pool.lock;
       let t0 = Obs.Clock.now_ns () in
-      (match sq.sq_on_wait with
+      (match pool.on_wait with
       | Some cb -> cb (Obs.Clock.ns_to_s (Int64.sub t0 enq_ns))
       | None -> ());
       task ();
@@ -101,8 +110,11 @@ let rec worker_loop pool slot =
       worker_loop pool slot
 
 (** [create ~jobs ()] builds a pool of [jobs] worker domains. [jobs <= 0]
-    means "one per core" ([Domain.recommended_domain_count]). *)
-let create ?(jobs = 1) () =
+    means "one per core" ([Domain.recommended_domain_count]). [on_wait]
+    (optional) receives every task's queue latency in seconds (enqueue to
+    worker dequeue; [0.] for inline execution); it runs on the dequeuing
+    worker, so it must be thread-safe and cheap. *)
+let create ?on_wait ?(jobs = 1) () =
   let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
   let pool =
     {
@@ -112,6 +124,9 @@ let create ?(jobs = 1) () =
       result_ready = Condition.create ();
       rotation = [];
       stopping = false;
+      running = 0;
+      started = 0;
+      on_wait;
       workers = [||];
       busy_ns = Array.init (max 1 jobs) (fun _ -> Atomic.make 0L);
       created_ns = Obs.Clock.now_ns ();
@@ -152,20 +167,11 @@ type 'a stream = {
 }
 
 (** Open a submission stream on the pool. Streams are lightweight — a
-    service opens one per search, a batch caller one per batch. [on_wait]
-    (optional) receives every task's queue latency in seconds (enqueue to
-    worker dequeue); it runs on the dequeuing worker, so it must be
-    thread-safe and cheap. *)
-let stream ?on_wait pool =
+    service opens one per search, a batch caller one per batch. *)
+let stream pool =
   {
     st_pool = pool;
-    st_sq =
-      {
-        sq_tasks = Queue.create ();
-        sq_on_wait = on_wait;
-        sq_queued = false;
-        sq_running = 0;
-      };
+    st_sq = { sq_tasks = Queue.create (); sq_queued = false };
     st_results = Hashtbl.create 32;
     st_next_id = 0;
   }
@@ -186,14 +192,16 @@ let submit st f =
     in
     Mutex.lock pool.lock;
     Hashtbl.replace st.st_results id r;
-    st.st_sq.sq_running <- st.st_sq.sq_running - 1;
+    pool.running <- pool.running - 1;
     Condition.broadcast pool.result_ready;
     Mutex.unlock pool.lock
   in
   if Array.length pool.workers = 0 then begin
-    (match st.st_sq.sq_on_wait with Some cb -> cb 0. | None -> ());
+    (match pool.on_wait with Some cb -> cb 0. | None -> ());
+    Mutex.lock pool.lock;
+    start pool;
+    Mutex.unlock pool.lock;
     let t0 = Obs.Clock.now_ns () in
-    st.st_sq.sq_running <- st.st_sq.sq_running + 1;
     run ();
     add_busy pool 0 (Int64.sub (Obs.Clock.now_ns ()) t0)
   end
@@ -240,32 +248,28 @@ let await st id =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(** Completed-but-uncollected results parked in the stream — the engine's
-    commit-queue depth gauge. *)
-let completed st =
-  let pool = st.st_pool in
+(* Read one count under the pool lock. *)
+let locked pool f =
   Mutex.lock pool.lock;
-  let n = Hashtbl.length st.st_results in
+  let n = f pool in
   Mutex.unlock pool.lock;
   n
 
-(** Tasks of [st] not yet completed (queued or running on a worker). *)
-let in_flight st =
-  let pool = st.st_pool in
-  Mutex.lock pool.lock;
-  let n = Queue.length st.st_sq.sq_tasks + st.st_sq.sq_running in
-  Mutex.unlock pool.lock;
-  n
+(** Completed-but-uncollected results parked in the stream — the engine's
+    commit-queue depth gauge. *)
+let completed st = locked st.st_pool (fun _ -> Hashtbl.length st.st_results)
+
+(** Tasks running right now, across all streams (inline ones included). *)
+let running pool = locked pool (fun p -> p.running)
+
+(** Tasks started over the pool's lifetime, across all streams. *)
+let started pool = locked pool (fun p -> p.started)
 
 (** Tasks queued across all streams, waiting for a worker — the daemon's
     point-granular queue depth. *)
 let queued pool =
-  Mutex.lock pool.lock;
-  let n =
-    List.fold_left (fun acc sq -> acc + Queue.length sq.sq_tasks) 0 pool.rotation
-  in
-  Mutex.unlock pool.lock;
-  n
+  locked pool (fun p ->
+      List.fold_left (fun acc sq -> acc + Queue.length sq.sq_tasks) 0 p.rotation)
 
 (* ---- Utilization telemetry ------------------------------------------------- *)
 

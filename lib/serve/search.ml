@@ -76,9 +76,9 @@ type outcome = {
 
 (** Compile the resolved source and explore it. The optional arguments are
     the caller's execution context, passed through to [Dse.run]: worker
-    pool or count, shared caches, the job identity and the streaming and
-    scheduling hooks. *)
-let run ?jobs ?pool ?cache ?memos ?job ?on_frontier ?batch_wrap ?queue_wait s =
+    pool or count, shared caches, the job identity and the streaming
+    hook. *)
+let run ?jobs ?pool ?cache ?memos ?job ?on_frontier s =
   let c = s.config in
   let ctx = Mir.Ir.Ctx.create () in
   let input = Pipeline.compile_c ctx s.src in
@@ -86,7 +86,7 @@ let run ?jobs ?pool ?cache ?memos ?job ?on_frontier ?batch_wrap ?queue_wait s =
     Obs.Clock.time_s (fun () ->
         Dse.run ~samples:c.samples ~iterations:c.iterations ~seed:c.seed
           ~symbolic:c.symbolic ~window:c.window ~strategy:s.strategy ?jobs
-          ?pool ?cache ?memos ?job ?on_frontier ?batch_wrap ?queue_wait ctx
-          input ~top:s.top ~platform:s.platform)
+          ?pool ?cache ?memos ?job ?on_frontier ctx input ~top:s.top
+          ~platform:s.platform)
   in
   { input; result; wall_s }

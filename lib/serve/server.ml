@@ -6,13 +6,16 @@
     that thread, streaming its point evaluations onto the one shared
     {!Scalehls.Parpool}, whose workers dequeue round-robin across the
     searches' streams — [k] concurrent client searches interleave at
-    single-eval granularity without oversubscribing the machine, with the
-    {!Scheduler} accounting each evaluation (turn spans, queue-wait
-    histogram). Search coordination (admission, in-order commit, Pareto
-    maintenance) is cheap and interleaves on the runtime lock; the
-    evaluation work itself runs on the pool's worker domains. Results
-    stream back as they form: one [frontier] line per traversal round,
-    then the final [result].
+    single-eval granularity without oversubscribing the machine. The pool
+    also does the daemon's per-evaluation accounting: it feeds every
+    evaluation's queue wait to the serve registry's [turn_wait_seconds]
+    histogram and counts the evaluations running and started, which
+    [status] and the gauges report; the engine's [dse.evaluate] spans carry
+    each evaluation's job id. Search coordination (admission, in-order
+    commit, Pareto maintenance) is cheap and interleaves on the runtime
+    lock; the evaluation work itself runs on the pool's worker domains.
+    Results stream back as they form: one [frontier] line per traversal
+    round, then the final [result].
 
     State shared across requests: the {!Store} (per-platform evaluation
     caches + estimator band memos, disk-backed), checkpointed every
@@ -30,7 +33,6 @@ type t = {
   socket_path : string;
   store : Store.t;
   pool : Parpool.t;
-  sched : Scheduler.t;
   registry : Jobs.t;
   stop_flag : bool Atomic.t;
   checkpoint_every : float;
@@ -51,7 +53,6 @@ let publish_gauges t =
     let open Obs.Metrics in
     let reg = registry "serve" in
     let queued, running, done_, failed = Jobs.counts t.registry in
-    let evals_active, evals_granted = Scheduler.stats t.sched in
     set (gauge reg "jobs.queued") (float_of_int queued);
     set (gauge reg "jobs.in_flight") (float_of_int running);
     set (gauge reg "jobs.done") (float_of_int done_);
@@ -59,8 +60,9 @@ let publish_gauges t =
     (* Point-granular queue: evaluations waiting for a worker, across all
        concurrent searches' streams. *)
     set (gauge reg "queue.depth") (float_of_int (Parpool.queued t.pool));
-    set (gauge reg "queue.evals_active") (float_of_int evals_active);
-    counter_set (counter reg "queue.evals_granted") (float_of_int evals_granted);
+    set (gauge reg "queue.evals_active") (float_of_int (Parpool.running t.pool));
+    counter_set (counter reg "queue.evals_granted")
+      (float_of_int (Parpool.started t.pool));
     set (gauge reg "checkpoint_in_progress")
       (if Atomic.get t.ckpt_in_progress then 1. else 0.);
     let evals, hits, misses = Store.eval_stats t.store in
@@ -84,6 +86,11 @@ let publish_gauges t =
     if d >= 0. then set (gauge reg "checkpoint_duration_s") d
   end
 
+(* Each evaluation's pool-queue wait: the fair-share wait a point spends
+   behind other searches' points. *)
+let eval_wait_seconds =
+  Obs.Metrics.histogram (Obs.Metrics.registry "serve") "turn_wait_seconds"
+
 (** [create ~socket ()] prepares a server (no socket is bound until {!run}).
     [store_path] enables persistence; [jobs] sizes the shared worker pool
     ([0] = one per core); [checkpoint_every] is the periodic-checkpoint
@@ -98,8 +105,8 @@ let create ~socket ?store_path ?(jobs = 0) ?(checkpoint_every = 60.)
     {
       socket_path = socket;
       store = Store.open_ ?path:store_path ();
-      pool = Parpool.create ~jobs ();
-      sched = Scheduler.create ();
+      pool =
+        Parpool.create ~on_wait:(Obs.Metrics.observe eval_wait_seconds) ~jobs ();
       registry = Jobs.create ();
       stop_flag = Atomic.make false;
       checkpoint_every;
@@ -143,7 +150,6 @@ let checkpoint t =
 
 let status_json t =
   let queued, running, done_, failed = Jobs.counts t.registry in
-  let evals_active, evals_granted = Scheduler.stats t.sched in
   Protocol.resp "status"
     [
       ( "queue",
@@ -154,8 +160,8 @@ let status_json t =
             ("done", Json.Int done_);
             ("failed", Json.Int failed);
             ("evals_waiting", Json.Int (Parpool.queued t.pool));
-            ("evals_active", Json.Int evals_active);
-            ("evals_granted", Json.Int evals_granted);
+            ("evals_active", Json.Int (Parpool.running t.pool));
+            ("evals_granted", Json.Int (Parpool.started t.pool));
           ] );
       ("jobs", Jobs.to_status_json t.registry);
       ("store", Store.to_status_json t.store);
@@ -203,8 +209,6 @@ let run_search t send (design : Protocol.design) (config : Protocol.config) =
         Search.run
           ~cache:(Store.cache_for t.store search.Search.platform.Vhls.Platform.name)
           ~memos:(Store.memos t.store) ~pool:t.pool ~job:job_tag
-          ~batch_wrap:(fun f -> Scheduler.with_eval ~label:job_tag t.sched f)
-          ~queue_wait:(Scheduler.note_wait t.sched)
           ~on_frontier:(fun frontier explored ->
             Jobs.progress t.registry job ~explored
               ~frontier_size:(List.length frontier);
@@ -286,10 +290,20 @@ let handle_conn t fd =
 
 (* ---- The Prometheus scrape listener ----------------------------------------- *)
 
+(* Seconds a scrape client gets to send its request head. The listener
+   answers one connection at a time, so a client that connects and stays
+   silent would otherwise block every later scrape and the daemon's
+   shutdown, which joins the listener thread. *)
+let scrape_read_timeout_s = 2.
+
 (* Minimal HTTP/1.0 responder: any request gets the full text exposition.
    One short-lived connection per scrape (Connection: close) keeps this
-   free of keep-alive state; Prometheus is happy with that. *)
+   free of keep-alive state; Prometheus is happy with that. A read that
+   times out raises [Sys_blocked_io], which ends the request head like
+   end-of-file does. *)
 let answer_scrape conn =
+  (try Unix.setsockopt_float conn Unix.SO_RCVTIMEO scrape_read_timeout_s
+   with Unix.Unix_error _ -> ());
   let ic = Unix.in_channel_of_descr conn in
   let oc = Unix.out_channel_of_descr conn in
   (try
@@ -297,7 +311,7 @@ let answer_scrape conn =
      let rec drain n =
        if n > 0 then
          match input_line ic with
-         | exception (End_of_file | Sys_error _) -> ()
+         | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> ()
          | line when String.trim line = "" -> ()
          | _ -> drain (n - 1)
      in

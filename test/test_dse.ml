@@ -389,7 +389,7 @@ let test_parpool_stream_out_of_order () =
             (Parpool.await st id))
         ids;
       Alcotest.(check int) "results consumed" 0 (Parpool.completed st);
-      Alcotest.(check int) "nothing in flight" 0 (Parpool.in_flight st);
+      Alcotest.(check int) "nothing running" 0 (Parpool.running pool);
       (* Exception propagation: the failing task's error is delivered for
          its id only; unrelated tasks and the pool survive. *)
       let bad = Parpool.submit st (fun () -> raise (Boom 42)) in
@@ -427,6 +427,50 @@ let test_parpool_stream_inline () =
   | exception Boom 9 -> ()
   | _ -> Alcotest.fail "inline submit must capture, await must re-raise");
   Parpool.shutdown pool
+
+(* The pool's own accounting, which the serve daemon reports. A task from
+   each of two streams waits inside the pool until the other has arrived
+   (bounded, so a pool that serialized streams fails instead of hanging),
+   reads [running] while both are still inside, and leaves only once both
+   have read it. [started] counts both tasks, [on_wait] fires once per
+   task, and an inline [jobs = 1] pool reports a wait of 0. *)
+let test_parpool_accounting () =
+  let arrive counter =
+    Atomic.incr counter;
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get counter < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Atomic.get counter = 2
+  in
+  let waits = Atomic.make 0 in
+  let pool = Parpool.create ~on_wait:(fun _ -> Atomic.incr waits) ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Parpool.shutdown pool) (fun () ->
+      let entered = Atomic.make 0 and leaving = Atomic.make 0 in
+      let task () =
+        let met = arrive entered in
+        let running = Parpool.running pool in
+        ignore (arrive leaving);
+        (met, running)
+      in
+      let a = Parpool.stream pool and b = Parpool.stream pool in
+      let ia = Parpool.submit a task and ib = Parpool.submit b task in
+      List.iter
+        (fun (met, running) ->
+          Alcotest.(check bool) "streams run at the same time" true met;
+          Alcotest.(check int) "running saw both tasks" 2 running)
+        [ Parpool.await a ia; Parpool.await b ib ];
+      Alcotest.(check int) "nothing running after" 0 (Parpool.running pool);
+      Alcotest.(check int) "both tasks started" 2 (Parpool.started pool);
+      Alcotest.(check int) "one wait per task" 2 (Atomic.get waits));
+  let waits = ref [] in
+  let pool = Parpool.create ~on_wait:(fun s -> waits := s :: !waits) ~jobs:1 () in
+  let st = Parpool.stream pool in
+  Alcotest.(check int) "inline task counted as running" 1
+    (Parpool.await st (Parpool.submit st (fun () -> Parpool.running pool)));
+  Alcotest.(check (list (float 0.))) "inline wait is 0" [ 0. ] !waits;
+  Alcotest.(check int) "inline task started" 1 (Parpool.started pool);
+  Alcotest.(check int) "inline task done" 0 (Parpool.running pool)
 
 (* ---- Fingerprinting --------------------------------------------------------------------- *)
 
@@ -633,6 +677,8 @@ let suite =
       Alcotest.test_case "parpool: stream out-of-order" `Quick
         test_parpool_stream_out_of_order;
       Alcotest.test_case "parpool: stream inline" `Quick test_parpool_stream_inline;
+      Alcotest.test_case "parpool: accounting across streams" `Quick
+        test_parpool_accounting;
       Alcotest.test_case "space: gemm dimensions" `Quick test_space_gemm;
       Alcotest.test_case "space: rvb only when variable bounds" `Quick test_space_rvb_only_for_triangular;
       Alcotest.test_case "neighbors move one dimension" `Quick test_neighbors_are_close;

@@ -1,7 +1,7 @@
 (* Tests for the DSE service layer (lib/serve): protocol parse/build
    round-trips, codec round-trips over the full value range, the disk-backed
    store (save/load equality, version-mismatch invalidation, corruption
-   tolerance), the point-granular scheduler's non-exclusive accounting, and
+   tolerance), the daemon's evaluation accounting and scrape listener, and
    the headline service property — a warm store replays a cold run
    bit-for-bit without re-evaluating anything. *)
 
@@ -229,45 +229,6 @@ let test_store_corruption_tolerated () =
   | Some (Json.Int n) -> Alcotest.(check int) "bad lines counted" 3 n
   | _ -> Alcotest.fail "skipped_lines missing from status"
 
-(* ---- Scheduler ------------------------------------------------------------- *)
-
-(* The point-granular scheduler must NOT serialize evaluations: two jobs'
-   evals run inside [with_eval] at the same time (proven by a condition-
-   variable rendezvous — each thread blocks inside its eval until the other
-   arrives, so the test deadlocks if with_eval excludes), and the accounting
-   balances afterwards. *)
-let test_scheduler_concurrent_evals () =
-  let s = Serve.Scheduler.create () in
-  let lock = Mutex.create () in
-  let both_inside = Condition.create () in
-  let inside = ref 0 in
-  let peak_active = ref 0 in
-  let rendezvous label () =
-    Serve.Scheduler.with_eval ~label s (fun () ->
-        Mutex.lock lock;
-        incr inside;
-        let active, _ = Serve.Scheduler.stats s in
-        if active > !peak_active then peak_active := active;
-        if !inside < 2 then
-          while !inside < 2 do
-            Condition.wait both_inside lock
-          done
-        else Condition.broadcast both_inside;
-        Mutex.unlock lock)
-  in
-  let t1 = Thread.create (rendezvous "job-a") () in
-  let t2 = Thread.create (rendezvous "job-b") () in
-  Thread.join t1;
-  Thread.join t2;
-  Alcotest.(check int) "both evals ran simultaneously" 2 !inside;
-  Alcotest.(check int) "active count saw the overlap" 2 !peak_active;
-  let active, granted = Serve.Scheduler.stats s in
-  Alcotest.(check int) "nothing active after" 0 active;
-  Alcotest.(check int) "grants counted" 2 granted;
-  (* note_wait feeds the serve turn-wait histogram without blocking. *)
-  Serve.Scheduler.note_wait s 0.001;
-  Serve.Scheduler.note_wait s 0.002
-
 (* ---- Jobs ------------------------------------------------------------------ *)
 
 let test_jobs_lifecycle () =
@@ -461,6 +422,59 @@ let test_daemon_matches_local () =
         (Option.map Serve.Codec.to_int (Json.member "explored" final))
   | _ -> Alcotest.fail "daemon search did not end in a result"
 
+let int_at path j =
+  match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path with
+  | Some v -> Serve.Codec.to_int v
+  | None -> Alcotest.failf "missing %s" (String.concat "." path)
+
+(* The daemon's evaluation accounting comes from its worker pool: once its
+   searches finish, the evaluations granted equal the searches' cache
+   misses (the second search is served partly from the first one's cache,
+   and the best-design rebuild runs on the coordinator, not on the pool),
+   and none is still active. *)
+let test_daemon_eval_accounting () =
+  with_daemon @@ fun _ request ->
+  let searches =
+    List.map
+      (fun seed ->
+        match List.rev (request (search_line gemm8 { small with Sp.seed })) with
+        | final :: _ ->
+            (int_at [ "explored" ] final, int_at [ "stats"; "cache_misses" ] final)
+        | [] -> Alcotest.fail "no response")
+      [ 7; 8 ]
+  in
+  let explored, misses = List.split searches in
+  Alcotest.(check bool) "the second search reused cached evaluations" true
+    (List.nth misses 1 < List.nth explored 1);
+  match request {|{"req":"status"}|} with
+  | [ status ] ->
+      Alcotest.(check int) "granted = sum of cache misses"
+        (List.fold_left ( + ) 0 misses)
+        (int_at [ "queue"; "evals_granted" ] status);
+      Alcotest.(check int) "none active" 0 (int_at [ "queue"; "evals_active" ] status)
+  | _ -> Alcotest.fail "expected one status response"
+
+(* A scrape client that connects and sends nothing must not hold the
+   metrics listener: the read of the request head times out and the
+   exposition is still answered, within a few seconds. *)
+let test_scrape_silent_client () =
+  (* Without the timeout the listener answers only after this side closes,
+     into a closed socket: EPIPE must fail the test, not kill the runner. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float client Unix.SO_RCVTIMEO 10.;
+  let t0 = Unix.gettimeofday () in
+  let listener = Thread.create Serve.Server.answer_scrape server in
+  let ic = Unix.in_channel_of_descr client in
+  let head =
+    try input_line ic with End_of_file | Sys_error _ | Sys_blocked_io -> ""
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  close_in_noerr ic;
+  Thread.join listener;
+  Alcotest.(check string) "answered" "HTTP/1.0 200 OK\r" head;
+  Alcotest.(check bool) "within a few seconds" true (elapsed < 5.)
+
 let suite =
   ( "serve",
     [
@@ -475,8 +489,6 @@ let suite =
         test_store_version_mismatch_cold;
       Alcotest.test_case "store tolerates corruption" `Quick
         test_store_corruption_tolerated;
-      Alcotest.test_case "scheduler concurrent evals" `Quick
-        test_scheduler_concurrent_evals;
       Alcotest.test_case "jobs lifecycle" `Quick test_jobs_lifecycle;
       Alcotest.test_case "warm store replays bit-identical" `Quick
         test_store_warm_run_bit_identical;
@@ -488,4 +500,8 @@ let suite =
         test_search_resolves_names;
       Alcotest.test_case "daemon search matches local" `Quick
         test_daemon_matches_local;
+      Alcotest.test_case "daemon counts its evaluations" `Quick
+        test_daemon_eval_accounting;
+      Alcotest.test_case "silent scrape client times out" `Quick
+        test_scrape_silent_client;
     ] )
